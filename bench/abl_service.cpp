@@ -140,8 +140,8 @@ int main(int argc, char** argv) {
     fairds::FairDS ds(config, db);
     ds.train_system(head_rows(history.xs, preset.train_subset));
     ds.ingest(history.xs, history.ys, "history");
-    service::DataService service(
-        ds, {.workers = clients, .store_shards = 4});
+    service::DataService service({.workers = clients});
+    service.add_stream(service::kDefaultStreamName, ds, {.store_shards = 4});
 
     const auto result = drive(service, queries.xs, clients,
                               preset.batches_per_client, preset.batch,
@@ -171,8 +171,8 @@ int main(int argc, char** argv) {
     fairds::FairDS ds(config, db);
     ds.train_system(head_rows(history.xs, preset.train_subset));
     ds.ingest(history.xs, history.ys, "history");
-    service::DataService service(
-        ds, {.workers = clients, .store_shards = 4});
+    service::DataService service({.workers = clients});
+    service.add_stream(service::kDefaultStreamName, ds, {.store_shards = 4});
 
     const nn::Batchset probe = timeline.dataset_at(7, 48, kSeed + 2);
     const auto result =

@@ -12,7 +12,7 @@
 //       multi-core hosts.
 //   (3) byte-budget pressure: hit rate and evictions when the blob working
 //       set exceeds the cache budget — the knob behind
-//       DataServiceConfig.model_cache_bytes.
+//       StreamConfig.model_cache_bytes.
 //
 // The zoo is synthetic (random PDFs, fixed-size weight blobs): this bench
 // measures the registry and its cache, not training. The RemoteLink uses

@@ -391,6 +391,7 @@ void write_json(const char* path, const Preset& preset, std::size_t scale,
   }
   std::fprintf(f, "  },\n");
   const service::ServiceStats& s = r.stats;
+  const service::StreamStats t = s.totals();
   std::fprintf(
       f,
       "  \"service_stats\": {\"label_requests\": %llu, "
@@ -399,17 +400,17 @@ void write_json(const char* path, const Preset& preset, std::size_t scale,
       "\"recommend_shed\": %llu, \"queue_depth\": %llu, "
       "\"max_queue_depth\": %llu, \"retrain_checks\": %llu, "
       "\"retrains\": %llu, \"retrains_coalesced\": %llu}\n",
-      static_cast<unsigned long long>(s.label_requests),
-      static_cast<unsigned long long>(s.label_answered),
-      static_cast<unsigned long long>(s.label_shed),
-      static_cast<unsigned long long>(s.recommend_requests),
-      static_cast<unsigned long long>(s.recommend_answered),
-      static_cast<unsigned long long>(s.recommend_shed),
+      static_cast<unsigned long long>(t.label_requests),
+      static_cast<unsigned long long>(t.label_answered),
+      static_cast<unsigned long long>(t.label_shed),
+      static_cast<unsigned long long>(t.recommend_requests),
+      static_cast<unsigned long long>(t.recommend_answered),
+      static_cast<unsigned long long>(t.recommend_shed),
       static_cast<unsigned long long>(s.queue_depth),
       static_cast<unsigned long long>(s.max_queue_depth),
-      static_cast<unsigned long long>(s.retrain_checks),
-      static_cast<unsigned long long>(s.retrains),
-      static_cast<unsigned long long>(s.retrains_coalesced));
+      static_cast<unsigned long long>(t.retrain_checks),
+      static_cast<unsigned long long>(t.retrains),
+      static_cast<unsigned long long>(t.retrains_coalesced));
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("json report written to %s\n", path);
@@ -429,7 +430,7 @@ int check_graceful(const Preset& preset, const RunResult& r) {
   if (label.answered + rank.answered == 0) {
     fail("100% of user-plane traffic was shed");
   }
-  const service::ServiceStats& s = r.stats;
+  const service::StreamStats s = r.stats.totals();
   // The admission ledger must reconcile exactly once idle: every submit
   // was either answered or shed, nothing lost, nothing double-counted.
   if (s.label_requests != s.label_answered + s.label_shed) {
@@ -444,7 +445,7 @@ int check_graceful(const Preset& preset, const RunResult& r) {
   // Client-observed outcomes must agree with the service's ledger (deltas
   // against the post-warmup baseline: the warmup request is outside the
   // timed run but inside the service's lifetime counters).
-  const service::ServiceStats& b = r.baseline;
+  const service::StreamStats b = r.baseline.totals();
   if (label.answered != s.label_answered - b.label_answered ||
       label.shed != s.label_shed - b.label_shed) {
     fail("client-observed label outcomes disagree with ServiceStats");
@@ -453,8 +454,11 @@ int check_graceful(const Preset& preset, const RunResult& r) {
       rank.shed != s.recommend_shed - b.recommend_shed) {
     fail("client-observed rank outcomes disagree with ServiceStats");
   }
-  if (s.queue_depth != 0) fail("pending queue did not drain after the run");
-  if (preset.max_pending != 0 && s.max_queue_depth > preset.max_pending) {
+  if (r.stats.queue_depth != 0) {
+    fail("pending queue did not drain after the run");
+  }
+  if (preset.max_pending != 0 &&
+      r.stats.max_queue_depth > preset.max_pending) {
     fail("pending queue grew beyond the configured bound");
   }
   return violations;
@@ -537,16 +541,16 @@ int main(int argc, char** argv) {
   }
   fairms::ModelManager manager(zoo, 1.0);
   service::DataService service(
-      ds,
-      {.workers = preset.workers, .store_shards = 4,
-       .max_pending = preset.max_pending},
-      &manager);
+      {.workers = preset.workers, .max_pending = preset.max_pending});
+  service.add_stream(service::kDefaultStreamName, ds, {.store_shards = 4},
+                     &manager);
 
   const Workload workload = build_workload(preset, timeline, ds);
 
   // --- timed run ------------------------------------------------------------
   const RunResult result = run_mix(preset, workload, ds, zoo, service);
 
+  const service::StreamStats totals = result.stats.totals();
   std::uint64_t txns = 0, user_answered = 0, user_shed = 0;
   for (std::size_t op = 0; op < kOpCount; ++op) {
     txns += result.ops[op].submitted;
@@ -570,9 +574,9 @@ int main(int argc, char** argv) {
       static_cast<double>(txns) / result.wall_seconds,
       static_cast<unsigned long long>(user_answered),
       static_cast<unsigned long long>(user_shed),
-      static_cast<unsigned long long>(result.stats.retrain_checks),
-      static_cast<unsigned long long>(result.stats.retrains),
-      static_cast<unsigned long long>(result.stats.retrains_coalesced),
+      static_cast<unsigned long long>(totals.retrain_checks),
+      static_cast<unsigned long long>(totals.retrains),
+      static_cast<unsigned long long>(totals.retrains_coalesced),
       static_cast<unsigned long long>(result.stats.max_queue_depth),
       preset.max_pending, result.drain_seconds);
 

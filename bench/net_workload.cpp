@@ -306,11 +306,12 @@ int run_child(const Preset& preset, std::size_t index, int port_fd,
   return result.transport_ok ? 0 : 6;
 }
 
+/// Service-wide counter deltas over the run (ServiceStats::totals()).
 struct StatsDelta {
   service::ServiceStats baseline;
   service::ServiceStats final;
-  [[nodiscard]] std::uint64_t d(std::uint64_t service::ServiceStats::*f) const {
-    return final.*f - baseline.*f;
+  [[nodiscard]] std::uint64_t d(std::uint64_t service::StreamStats::*f) const {
+    return final.totals().*f - baseline.totals().*f;
   }
 };
 
@@ -358,14 +359,14 @@ void write_json(const char* path, const Preset& preset, bool external,
       "\"lookup_requests\": %llu, \"recommend_requests\": %llu, "
       "\"retrain_checks\": %llu, \"retrains\": %llu, "
       "\"retrains_coalesced\": %llu},\n",
-      static_cast<unsigned long long>(wire.d(&service::ServiceStats::label_requests)),
-      static_cast<unsigned long long>(wire.d(&service::ServiceStats::label_answered)),
-      static_cast<unsigned long long>(wire.d(&service::ServiceStats::label_shed)),
-      static_cast<unsigned long long>(wire.d(&service::ServiceStats::lookup_requests)),
-      static_cast<unsigned long long>(wire.d(&service::ServiceStats::recommend_requests)),
-      static_cast<unsigned long long>(wire.d(&service::ServiceStats::retrain_checks)),
-      static_cast<unsigned long long>(wire.d(&service::ServiceStats::retrains)),
-      static_cast<unsigned long long>(wire.d(&service::ServiceStats::retrains_coalesced)));
+      static_cast<unsigned long long>(wire.d(&service::StreamStats::label_requests)),
+      static_cast<unsigned long long>(wire.d(&service::StreamStats::label_answered)),
+      static_cast<unsigned long long>(wire.d(&service::StreamStats::label_shed)),
+      static_cast<unsigned long long>(wire.d(&service::StreamStats::lookup_requests)),
+      static_cast<unsigned long long>(wire.d(&service::StreamStats::recommend_requests)),
+      static_cast<unsigned long long>(wire.d(&service::StreamStats::retrain_checks)),
+      static_cast<unsigned long long>(wire.d(&service::StreamStats::retrains)),
+      static_cast<unsigned long long>(wire.d(&service::StreamStats::retrains_coalesced)));
   std::fprintf(f, "  \"queue_depth_final\": %llu\n",
                static_cast<unsigned long long>(wire.final.queue_depth));
   std::fprintf(f, "}\n");
@@ -401,7 +402,7 @@ int check_graceful(const ClientResult& merged, bool children_ok,
   // Wire ledger: the service's counters, read over the stats endpoint, must
   // reconcile exactly with what the client processes observed. The
   // malformed probes never reach the service, so they must NOT appear.
-  using S = service::ServiceStats;
+  using S = service::StreamStats;
   if (wire.d(&S::label_requests) != merged.ops[0].submitted ||
       wire.d(&S::label_answered) != merged.ops[0].answered ||
       wire.d(&S::label_shed) != merged.ops[0].shed) {
@@ -542,12 +543,10 @@ int main(int argc, char** argv) {
                    std::vector<std::uint8_t>(4096, 0x42));
     }
     manager.emplace(*zoo, 1.0);
-    service.emplace(
-        *ds,
-        service::DataServiceConfig{.workers = preset.workers,
-                                   .store_shards = 4,
-                                   .max_pending = preset.max_pending},
-        &*manager);
+    service.emplace(service::DataServiceConfig{
+        .workers = preset.workers, .max_pending = preset.max_pending});
+    service->add_stream(service::kDefaultStreamName, *ds,
+                        {.store_shards = 4}, &*manager);
     const std::size_t label_width = ds->snapshot()->label_width();
     net::ServerConfig server_config;
     server_config.fallback_labeler = [label_width](const nn::Tensor& xs) {
@@ -637,7 +636,8 @@ int main(int argc, char** argv) {
     const auto now = observer.stats();
     if (!now) break;
     final_stats = *now;
-    if (final_stats.retrain_checks - baseline->retrain_checks >=
+    if (final_stats.totals().retrain_checks -
+                baseline->totals().retrain_checks >=
             accepted_retrains &&
         final_stats.queue_depth == 0) {
       break;
@@ -656,7 +656,7 @@ int main(int argc, char** argv) {
                      pct_ms(t.latencies, 50), pct_ms(t.latencies, 99),
                      pct_ms(t.latencies, 99.9));
   }
-  using S = service::ServiceStats;
+  using S = service::StreamStats;
   std::printf(
       "wall %.3fs, %.0f results/s across %zu processes; wire ledger: "
       "label %llu lookup %llu recommend %llu; retrain checks %llu "

@@ -8,8 +8,9 @@
 // RetrainPolicy, and its own serialized retrain executor. Three client
 // threads then drive drifting workloads concurrently; the per-stream fig16
 // uncertainty trigger fires auto-retrains independently per tenant, and the
-// final table shows each stream's ledgers plus the reconciliation invariant
-// (global aggregates == sum over streams).
+// final table shows each stream's ledgers and the service-wide totals, and
+// checks the admission-ledger invariant (requests == answered + shed, per
+// op) on every row.
 //
 // Build & run:  ./build/examples/multi_stream
 #include <algorithm>
@@ -273,16 +274,22 @@ int main(int argc, char** argv) {
 
   service.wait_idle();
 
-  // Per-stream ledgers + the reconciliation invariant.
+  // Per-stream ledgers, the service-wide totals, and the admission-ledger
+  // invariant on each.
   const auto stats = service.stats();
-  std::printf("\n%-10s %8s %8s %6s %7s %8s %6s %9s %8s\n", "stream",
+  std::printf("\n%-10s %8s %8s %6s %7s %8s %6s %9s %8s %7s\n", "stream",
               "answered", "shed", "checks", "retrain", "coalesce", "capped",
-              "cooldown", "model_v");
-  std::uint64_t sum_answered = 0;
-  std::uint64_t sum_retrains = 0;
-  for (const auto& s : stats.streams) {
-    std::printf("%-10s %8llu %8llu %6llu %7llu %8llu %6llu %9llu %8llu\n",
-                s.stream.c_str(),
+              "cooldown", "model_v", "ledger");
+  bool balanced = true;
+  const auto print_row = [&balanced](const service::StreamStats& s,
+                                     const char* name) {
+    const bool ok =
+        s.label_requests == s.label_answered + s.label_shed &&
+        s.lookup_requests == s.lookup_answered + s.lookup_shed &&
+        s.recommend_requests == s.recommend_answered + s.recommend_shed;
+    balanced = balanced && ok;
+    std::printf("%-10s %8llu %8llu %6llu %7llu %8llu %6llu %9llu %8llu %7s\n",
+                name,
                 static_cast<unsigned long long>(s.label_answered +
                                                 s.lookup_answered +
                                                 s.recommend_answered),
@@ -293,24 +300,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.retrains_coalesced),
                 static_cast<unsigned long long>(s.retrains_capped),
                 static_cast<unsigned long long>(s.policy_cooldown_skips),
-                static_cast<unsigned long long>(s.snapshot_version));
-    sum_answered += s.label_answered + s.lookup_answered + s.recommend_answered;
-    sum_retrains += s.retrains;
-  }
-  const std::uint64_t global_answered =
-      stats.label_answered + stats.lookup_answered + stats.recommend_answered;
-  std::printf("\nreconciliation: global answered %llu == sum %llu (%s), "
-              "global retrains %llu == sum %llu (%s)\n",
-              static_cast<unsigned long long>(global_answered),
-              static_cast<unsigned long long>(sum_answered),
-              global_answered == sum_answered ? "ok" : "MISMATCH",
-              static_cast<unsigned long long>(stats.retrains),
-              static_cast<unsigned long long>(sum_retrains),
-              stats.retrains == sum_retrains ? "ok" : "MISMATCH");
-  if (global_answered != sum_answered || stats.retrains != sum_retrains) {
+                static_cast<unsigned long long>(s.snapshot_version),
+                ok ? "ok" : "MISMATCH");
+  };
+  for (const auto& s : stats.streams) print_row(s, s.stream.c_str());
+  const service::StreamStats totals = stats.totals();
+  print_row(totals, "(total)");
+  if (!balanced) {
+    std::printf("\nadmission ledger: requests != answered + shed\n");
     return 1;
   }
-  if (sum_retrains == 0) {
+  if (totals.retrains == 0) {
     std::printf("note: no stream retrained — drift too mild for the "
                 "threshold this run\n");
   }

@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   service.wait_idle();
 
   const auto counters = server.counters();
-  const auto stats = service.stats();
+  const auto stats = service.stats().totals();
   std::printf(
       "serve: done. connections %llu, frames in %llu / out %llu, malformed "
       "%llu, shed %llu, shutdown %llu; served %llu label / %llu lookup / "

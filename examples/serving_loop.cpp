@@ -71,12 +71,15 @@ int main() {
   }
   fairms::ModelManager manager(zoo, /*distance_threshold=*/0.9);
 
-  // Serving facade: auto-retrain probes every labeled batch for drift. The
-  // declared store_shards is checked against the data tier at construction.
-  service::DataService service(
-      data_service,
-      {.workers = 3, .auto_retrain = true, .store_shards = 4},
-      &manager);
+  // Serving facade with one (default) stream: auto-retrain probes every
+  // labeled batch for drift, and the declared store_shards is checked
+  // against the data tier at registration.
+  service::DataService service({.workers = 3});
+  service::StreamConfig stream;
+  stream.retrain.auto_trigger = true;
+  stream.store_shards = 4;
+  service.add_stream(service::kDefaultStreamName, data_service, stream,
+                     &manager);
 
   const auto voigt_labeler = [](const nn::Tensor& xs) {
     // Stand-in for the conventional pseudo-Voigt fit: label = centroid.
@@ -143,15 +146,16 @@ int main() {
   }
 
   const auto stats = service.stats();
+  const auto totals = stats.totals();
   std::printf(
       "\nserved %llu label requests (%llu samples: %zu reused, %zu "
       "computed)\n",
-      static_cast<unsigned long long>(stats.label_requests),
-      static_cast<unsigned long long>(stats.samples_labeled),
+      static_cast<unsigned long long>(totals.label_requests),
+      static_cast<unsigned long long>(totals.samples_labeled),
       reused_total.load(), computed_total.load());
   std::printf("drift checks: %llu, retrains: %llu, final model v%llu\n",
-              static_cast<unsigned long long>(stats.retrain_checks),
-              static_cast<unsigned long long>(stats.retrains),
+              static_cast<unsigned long long>(totals.retrain_checks),
+              static_cast<unsigned long long>(totals.retrains),
               static_cast<unsigned long long>(
                   data_service.snapshot()->version()));
   std::printf("model cache: %llu hits / %llu misses, %llu evictions, "

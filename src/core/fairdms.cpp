@@ -15,9 +15,10 @@ FairDMS::FairDMS(FairDMSConfig config, fairds::FairDS& data_service,
       manager_(zoo_, config_.distance_threshold),
       // The update workflow submits one request at a time, so two workers
       // suffice; background retrain stays an explicit caller decision here.
-      service_(data_service,
-               service::DataServiceConfig{.workers = 2, .auto_retrain = false},
-               &manager_) {}
+      service_(service::DataServiceConfig{.workers = 2}) {
+  service_.add_stream(service::kDefaultStreamName, data_service, {},
+                      &manager_);
+}
 
 double FairDMS::charge_transfer(const std::string& src, const std::string& dst,
                                 std::uint64_t bytes) const {

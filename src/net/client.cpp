@@ -17,11 +17,9 @@ bool Client::connect(const std::string& host, std::uint16_t port) {
     return false;
   }
   const auto reply = recv_matching(cid);
-  // The server acks min(our version, its version): equality means it will
-  // answer every frame we send in the layout we encode it with.
   if (!reply || reply->header.status != service::ServeStatus::kOk ||
       !decode_hello_ack(reply->payload, &limits_) ||
-      limits_.version != version_) {
+      limits_.version != kProtocolVersion) {
     close();
     return false;
   }
@@ -44,8 +42,7 @@ bool Client::connect_retry(const std::string& host, std::uint16_t port,
 std::uint64_t Client::send_frame(Op op, const Bytes& payload) {
   if (!fd_.valid()) return 0;
   const std::uint64_t cid = next_cid_++;
-  const Bytes frame =
-      encode_frame(op, service::ServeStatus::kOk, cid, payload, version_);
+  const Bytes frame = encode_frame(op, service::ServeStatus::kOk, cid, payload);
   if (!write_all(fd_.get(), frame.data(), frame.size())) {
     close();
     return 0;
@@ -54,23 +51,22 @@ std::uint64_t Client::send_frame(Op op, const Bytes& payload) {
 }
 
 std::uint64_t Client::send_label(const service::LabelRequest& request) {
-  return send_frame(Op::kLabel, encode_label_request(request, version_));
+  return send_frame(Op::kLabel, encode_label_request(request));
 }
 
 std::uint64_t Client::send_lookup(const service::LookupRequest& request) {
-  return send_frame(Op::kLookup, encode_lookup_request(request, version_));
+  return send_frame(Op::kLookup, encode_lookup_request(request));
 }
 
 std::uint64_t Client::send_recommend(
     const service::RecommendRequest& request) {
-  return send_frame(Op::kRecommend,
-                    encode_recommend_request(request, version_));
+  return send_frame(Op::kRecommend, encode_recommend_request(request));
 }
 
 std::uint64_t Client::send_stats() { return send_frame(Op::kStats, {}); }
 
 std::uint64_t Client::send_retrain(const service::RetrainRequest& request) {
-  return send_frame(Op::kRetrain, encode_retrain_request(request, version_));
+  return send_frame(Op::kRetrain, encode_retrain_request(request));
 }
 
 bool Client::send_raw(const Bytes& bytes) {
@@ -91,8 +87,7 @@ std::optional<Client::Reply> Client::recv_reply() {
   }
   const auto header =
       decode_header(std::span<const std::uint8_t>(header_bytes, kHeaderSize));
-  // Replies always come back at the version the request was sent at.
-  if (!header || header->version != version_ ||
+  if (!header || header->version != kProtocolVersion ||
       header->payload_len > kDefaultMaxPayload) {
     close();
     return std::nullopt;
@@ -139,21 +134,21 @@ std::optional<Response> Client::roundtrip(
 std::optional<service::LabelResponse> Client::label(
     const service::LabelRequest& request) {
   return roundtrip<service::LabelResponse>(
-      Op::kLabel, encode_label_request(request, version_),
+      Op::kLabel, encode_label_request(request),
       &decode_label_response);
 }
 
 std::optional<service::LookupResponse> Client::lookup(
     const service::LookupRequest& request) {
   return roundtrip<service::LookupResponse>(
-      Op::kLookup, encode_lookup_request(request, version_),
+      Op::kLookup, encode_lookup_request(request),
       &decode_lookup_response);
 }
 
 std::optional<service::RecommendResponse> Client::recommend(
     const service::RecommendRequest& request) {
   return roundtrip<service::RecommendResponse>(
-      Op::kRecommend, encode_recommend_request(request, version_),
+      Op::kRecommend, encode_recommend_request(request),
       &decode_recommend_response);
 }
 
@@ -165,7 +160,7 @@ std::optional<service::ServiceStats> Client::stats() {
     return std::nullopt;
   }
   service::ServiceStats stats;
-  if (!decode_stats_response(reply->payload, &stats, version_)) {
+  if (!decode_stats_response(reply->payload, &stats)) {
     close();
     return std::nullopt;
   }

@@ -12,13 +12,10 @@
 //    This is how the closed-loop load generator keeps the server's
 //    admission queue full from a single connection.
 //
-// connect() performs the hello handshake: the server acks
-// min(client, server) and the client requires the ack to equal its own
-// version, so every later frame is known to be mutually intelligible. A
-// Client constructed with version 1 therefore interoperates with a v2
-// server (the server answers its frames in the v1 layout and routes them
-// to the default stream); a v2 client against a v1-only server fails
-// connect() cleanly.
+// connect() performs the hello handshake: the client requires the server
+// to ack kProtocolVersion, so every later frame is known to be mutually
+// intelligible. A server speaking another version refuses the hello, and
+// connect() fails cleanly.
 // The client is single-connection and not thread-safe: one Client per
 // thread (or process — bench/net_workload.cpp forks around it).
 #pragma once
@@ -36,10 +33,7 @@ namespace fairdms::net {
 
 class Client {
  public:
-  /// `version` is the protocol version every frame is sent at (the
-  /// cross-version tests construct v1 clients to talk to a v2 server).
-  explicit Client(std::uint16_t version = kProtocolVersion)
-      : version_(version) {}
+  Client() = default;
   ~Client() = default;  // UniqueFd closes the socket
 
   Client(Client&&) = default;
@@ -59,8 +53,6 @@ class Client {
 
   /// What the server declared in its hello ack (valid after connect()).
   [[nodiscard]] const HelloAck& server_limits() const { return limits_; }
-  /// The version this client speaks (fixed at construction).
-  [[nodiscard]] std::uint16_t version() const { return version_; }
 
   // --- pipelined primitives ------------------------------------------------
 
@@ -128,7 +120,6 @@ class Client {
 
   UniqueFd fd_;
   HelloAck limits_;
-  std::uint16_t version_ = kProtocolVersion;
   std::uint64_t next_cid_ = 1;
 };
 

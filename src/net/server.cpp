@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "util/annotations.hpp"
@@ -84,9 +85,9 @@ struct Server::Connection {
 Server::Server(service::DataService& service, ServerConfig config)
     : service_(&service),
       config_(std::move(config)),
-      completers_(config_.completion_threads != 0
-                      ? config_.completion_threads
-                      : std::max<std::size_t>(2, service.worker_count())) {
+      // One waiter per service worker, so every concurrently executing
+      // request has a completer and completion order tracks the service.
+      completers_(std::max<std::size_t>(2, service.worker_count())) {
   const int lfd = create_listener(config_.bind_address, config_.port);
   if (lfd < 0) {
     util::log_warn("net::Server: cannot listen on ", config_.bind_address,
@@ -142,11 +143,17 @@ void Server::wake() {
 
 void Server::reply(const std::shared_ptr<Connection>& conn, Op op,
                    service::ServeStatus status, std::uint64_t correlation_id,
-                   const Bytes& payload, std::uint16_t version) {
-  if (conn->enqueue(
-          encode_frame(op, status, correlation_id, payload, version))) {
+                   const Bytes& payload) {
+  if (conn->enqueue(encode_frame(op, status, correlation_id, payload))) {
     frames_out_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void Server::reject(const std::shared_ptr<Connection>& conn,
+                    const FrameHeader& header, service::ServeStatus status,
+                    std::atomic<std::uint64_t>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+  reply(conn, static_cast<Op>(header.op), status, header.correlation_id, {});
 }
 
 bool Server::valid_batch_shape(const tensor::Tensor& xs,
@@ -159,8 +166,7 @@ bool Server::valid_batch_shape(const tensor::Tensor& xs,
 
 template <typename Response>
 void Server::finish(const std::shared_ptr<Connection>& conn, Op op,
-                    std::uint64_t correlation_id, std::uint16_t version,
-                    std::future<Response> future,
+                    std::uint64_t correlation_id, std::future<Response> future,
                     Bytes (*encoder)(const Response&)) {
   // Shed futures are ready at dispatch: answer them from the event loop so
   // the wire-level shed path is as O(1) as the in-process one and never
@@ -171,161 +177,109 @@ void Server::finish(const std::shared_ptr<Connection>& conn, Op op,
     if (response.status == service::ServeStatus::kShedOverload) {
       shed_responses_.fetch_add(1, std::memory_order_relaxed);
     }
-    reply(conn, op, response.status, correlation_id, encoder(response),
-          version);
+    reply(conn, op, response.status, correlation_id, encoder(response));
     return;
   }
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
   auto shared = std::make_shared<std::future<Response>>(std::move(future));
-  completers_.submit(
-      [this, conn, op, correlation_id, version, shared, encoder] {
-        const Response response = shared->get();
-        reply(conn, op, response.status, correlation_id, encoder(response),
-              version);
-        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-        wake();
-      });
+  completers_.submit([this, conn, op, correlation_id, shared, encoder] {
+    const Response response = shared->get();
+    reply(conn, op, response.status, correlation_id, encoder(response));
+    outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+    wake();
+  });
+}
+
+template <typename Request>
+bool Server::admit(const std::shared_ptr<Connection>& conn,
+                   const FrameHeader& header,
+                   std::span<const std::uint8_t> payload,
+                   bool (*decode)(std::span<const std::uint8_t>, Request*),
+                   Request* request) {
+  using service::ServeStatus;
+  // Code cannot travel on the wire: a server without a labeler policy
+  // cannot serve a label frame, whatever it carries.
+  if (!decode(payload, request) ||
+      (std::is_same_v<Request, service::LabelRequest> &&
+       config_.fallback_labeler == nullptr)) {
+    reject(conn, header, ServeStatus::kMalformedRequest, malformed_frames_);
+    return false;
+  }
+  // Stream resolution comes before shape validation: an unregistered name
+  // has no snapshot to validate against, and it deserves the structured
+  // kUnknownStream answer, not kMalformedRequest. The connection stays
+  // usable either way.
+  if (!service_->has_stream(request->stream)) {
+    reject(conn, header, ServeStatus::kUnknownStream,
+           unknown_stream_responses_);
+    return false;
+  }
+  if (!valid_batch_shape(request->xs, request->stream) ||
+      (std::is_same_v<Request, service::RecommendRequest> &&
+       !service_->has_model_manager(request->stream))) {
+    reject(conn, header, ServeStatus::kMalformedRequest, malformed_frames_);
+    return false;
+  }
+  if (draining_.load(std::memory_order_acquire)) {
+    reject(conn, header, ServeStatus::kShuttingDown, shutdown_responses_);
+    return false;
+  }
+  return true;
 }
 
 bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
                           const FrameHeader& header,
                           std::span<const std::uint8_t> payload) {
   const std::uint64_t cid = header.correlation_id;
-  // drain_input validated the version range; every reply (and every
-  // versioned payload in it) is encoded at the request frame's version.
-  const std::uint16_t ver = header.version;
   const auto op = static_cast<Op>(header.op);
-  const auto malformed = [&] {
-    malformed_frames_.fetch_add(1, std::memory_order_relaxed);
-    reply(conn, op, service::ServeStatus::kMalformedRequest, cid, {}, ver);
-  };
-  const auto shutting_down = [&] {
-    shutdown_responses_.fetch_add(1, std::memory_order_relaxed);
-    reply(conn, op, service::ServeStatus::kShuttingDown, cid, {}, ver);
-  };
-  // Stream resolution comes before shape validation: an unregistered name
-  // has no snapshot to validate against, and it deserves the structured
-  // kUnknownStream answer, not kMalformedRequest. The connection stays
-  // usable either way.
-  const auto unknown_stream = [&] {
-    unknown_stream_responses_.fetch_add(1, std::memory_order_relaxed);
-    reply(conn, op, service::ServeStatus::kUnknownStream, cid, {}, ver);
-  };
-  const bool draining = draining_.load(std::memory_order_acquire);
-
   switch (op) {
-    case Op::kHello: {
-      // Negotiate down, never up: an old client keeps speaking its own
-      // version and the server answers every frame in kind.
-      const std::uint16_t ack = std::min(ver, kProtocolVersion);
-      reply(conn, Op::kHello, service::ServeStatus::kOk, cid,
-            encode_hello_ack({ack, config_.max_payload}), ver);
+    case Op::kHello:
+      reply(conn, op, service::ServeStatus::kOk, cid,
+            encode_hello_ack({kProtocolVersion, config_.max_payload}));
       return true;
-    }
-    case Op::kStats: {
+    case Op::kStats:
       // Observability stays up during a drain so operators can watch it.
-      // v1 peers get the aggregate body; v2 adds the per-stream blocks.
-      reply(conn, Op::kStats, service::ServeStatus::kOk, cid,
-            encode_stats_response(service_->stats(), ver), ver);
+      reply(conn, op, service::ServeStatus::kOk, cid,
+            encode_stats_response(service_->stats()));
       return true;
-    }
     case Op::kRetrain: {
       service::RetrainRequest request;
-      if (!decode_retrain_request(payload, &request, ver)) {
-        malformed();
-        return true;
+      if (admit(conn, header, payload, &decode_retrain_request, &request)) {
+        reply(conn, op, service::ServeStatus::kOk, cid,
+              encode_retrain_response(
+                  service_->request_retrain(request.stream, request.xs)));
       }
-      if (!service_->has_stream(request.stream)) {
-        unknown_stream();
-        return true;
-      }
-      if (!valid_batch_shape(request.xs, request.stream)) {
-        malformed();
-        return true;
-      }
-      if (draining) {
-        shutting_down();
-        return true;
-      }
-      reply(conn, Op::kRetrain, service::ServeStatus::kOk, cid,
-            encode_retrain_response(
-                service_->request_retrain(request.stream, request.xs)),
-            ver);
       return true;
     }
     case Op::kLabel: {
       service::LabelRequest request;
-      if (!decode_label_request(payload, &request, ver) ||
-          config_.fallback_labeler == nullptr) {
-        malformed();
-        return true;
+      if (admit(conn, header, payload, &decode_label_request, &request)) {
+        request.fallback_labeler = config_.fallback_labeler;
+        finish(conn, op, cid, service_->submit(std::move(request)),
+               &encode_label_response);
       }
-      if (!service_->has_stream(request.stream)) {
-        unknown_stream();
-        return true;
-      }
-      if (!valid_batch_shape(request.xs, request.stream)) {
-        malformed();
-        return true;
-      }
-      if (draining) {
-        shutting_down();
-        return true;
-      }
-      request.fallback_labeler = config_.fallback_labeler;
-      finish(conn, Op::kLabel, cid, ver,
-             service_->submit(std::move(request)), &encode_label_response);
       return true;
     }
     case Op::kLookup: {
       service::LookupRequest request;
-      if (!decode_lookup_request(payload, &request, ver)) {
-        malformed();
-        return true;
+      if (admit(conn, header, payload, &decode_lookup_request, &request)) {
+        finish(conn, op, cid, service_->submit(std::move(request)),
+               &encode_lookup_response);
       }
-      if (!service_->has_stream(request.stream)) {
-        unknown_stream();
-        return true;
-      }
-      if (!valid_batch_shape(request.xs, request.stream)) {
-        malformed();
-        return true;
-      }
-      if (draining) {
-        shutting_down();
-        return true;
-      }
-      finish(conn, Op::kLookup, cid, ver,
-             service_->submit(std::move(request)), &encode_lookup_response);
       return true;
     }
     case Op::kRecommend: {
       service::RecommendRequest request;
-      if (!decode_recommend_request(payload, &request, ver)) {
-        malformed();
-        return true;
+      if (admit(conn, header, payload, &decode_recommend_request, &request)) {
+        finish(conn, op, cid, service_->submit(std::move(request)),
+               &encode_recommend_response);
       }
-      if (!service_->has_stream(request.stream)) {
-        unknown_stream();
-        return true;
-      }
-      if (!valid_batch_shape(request.xs, request.stream) ||
-          !service_->has_model_manager(request.stream)) {
-        malformed();
-        return true;
-      }
-      if (draining) {
-        shutting_down();
-        return true;
-      }
-      finish(conn, Op::kRecommend, cid, ver,
-             service_->submit(std::move(request)),
-             &encode_recommend_response);
       return true;
     }
   }
   // Unknown op code: the framing is intact, so answer and keep the stream.
-  malformed();
+  reject(conn, header, service::ServeStatus::kMalformedRequest,
+         malformed_frames_);
   return true;
 }
 
@@ -345,16 +299,13 @@ bool Server::drain_input(const std::shared_ptr<Connection>& conn) {
       keep = false;
       break;
     }
-    if (header->version < kMinProtocolVersion ||
-        header->version > kProtocolVersion ||
+    if (header->version != kProtocolVersion ||
         header->payload_len > config_.max_payload) {
       // The envelope parsed, so an error reply reaches the right request —
-      // but an unsupported-version peer misreads every subsequent byte and
-      // an over-cap payload will never be buffered: close after the reply.
-      malformed_frames_.fetch_add(1, std::memory_order_relaxed);
-      reply(conn, static_cast<Op>(header->op),
-            service::ServeStatus::kMalformedRequest, header->correlation_id,
-            {}, std::min(header->version, kProtocolVersion));
+      // but another version's peer misreads every subsequent byte and an
+      // over-cap payload will never be buffered: close after the reply.
+      reject(conn, *header, service::ServeStatus::kMalformedRequest,
+             malformed_frames_);
       keep = false;
       break;
     }

@@ -18,12 +18,10 @@
 // Protocol discipline (see net/wire.hpp for the frame format):
 //  * Admission sheds map to ServeStatus::kShedOverload in the response
 //    header — never to a dropped connection or a silent stall.
-//  * Version negotiation is per-frame: the server answers every version in
-//    [kMinProtocolVersion, kProtocolVersion], encoding each reply at the
-//    version of the frame it answers. A v1 frame names no stream and
-//    routes to the default stream; hello acks min(peer, kProtocolVersion),
-//    so an old client and a new server agree on v1 without either side
-//    special-casing.
+//  * One protocol version: a frame stamped with anything but
+//    kProtocolVersion (hello included) is answered kMalformedRequest and
+//    the connection closes, so a peer built for another version is refused
+//    at its first frame instead of misreading replies.
 //  * A request naming an unregistered stream is answered with
 //    ServeStatus::kUnknownStream on a connection that stays usable — a
 //    structured answer, exactly like a shed, never a disconnect.
@@ -31,10 +29,14 @@
 //    content: unknown op, undecodable payload, wrong tensor shape) is
 //    answered with kMalformedRequest and the connection stays usable. A
 //    frame that breaks the framing itself (bad magic) or that the server
-//    refuses to buffer (declared payload over the cap) or speaks a
-//    protocol version outside the supported range closes the connection
-//    cleanly — after an error frame wherever the header could still be
-//    parsed. The server never crashes on peer-controlled bytes.
+//    refuses to buffer (declared payload over the cap) or speaks another
+//    protocol version closes the connection cleanly — after an error
+//    frame wherever the header could still be parsed. The server never
+//    crashes on peer-controlled bytes.
+//  * Every tensor op (label / lookup / recommend / request_retrain) passes
+//    the same gate before it may touch the service: decode, stream
+//    resolution, shape validation against that stream's snapshot, then
+//    the drain check (see admit()).
 //  * begin_drain()/stop() implement graceful shutdown: draining answers
 //    new user-plane requests with kShuttingDown while in-flight requests
 //    complete and every buffered response is flushed (bounded by a grace
@@ -63,10 +65,6 @@ struct ServerConfig {
   /// Per-frame payload cap; a peer declaring more is disconnected before
   /// the server buffers a single payload byte.
   std::uint32_t max_payload = kDefaultMaxPayload;
-  /// Threads waiting on in-flight service futures; 0 => the service's
-  /// worker count (enough that every concurrently-executing request has a
-  /// waiter, so completion order tracks the service, not the front-end).
-  std::size_t completion_threads = 0;
   /// Server-side policy for the label endpoint's fallback labeler (code
   /// cannot travel on the wire). Label requests against a server without
   /// one are answered kMalformedRequest.
@@ -124,6 +122,16 @@ class Server {
   bool handle_frame(const std::shared_ptr<Connection>& conn,
                     const FrameHeader& header,
                     std::span<const std::uint8_t> payload);
+  /// The gate every tensor op passes before dispatch: decode (malformed),
+  /// stream resolution (unknown stream), shape plus the op's own
+  /// precondition (malformed), drain (shutting down). True with `request`
+  /// filled when the op may dispatch; otherwise the frame is already
+  /// answered with the failing check's status.
+  template <typename Request>
+  bool admit(const std::shared_ptr<Connection>& conn,
+             const FrameHeader& header, std::span<const std::uint8_t> payload,
+             bool (*decode)(std::span<const std::uint8_t>, Request*),
+             Request* request);
   /// [N, 1, S, S] with N >= 1 and S the *target stream's* snapshot image
   /// size — the shape contract every tensor endpoint enforces on untrusted
   /// input before the request can reach an invariant-checked service path.
@@ -131,15 +139,17 @@ class Server {
   [[nodiscard]] bool valid_batch_shape(const tensor::Tensor& xs,
                                        const std::string& stream) const;
 
-  /// `version` stamps the reply header (and must match how `payload` was
-  /// encoded): always the version of the request frame being answered.
   void reply(const std::shared_ptr<Connection>& conn, Op op,
              service::ServeStatus status, std::uint64_t correlation_id,
-             const Bytes& payload, std::uint16_t version);
+             const Bytes& payload);
+  /// Answers a request with an error status and an empty payload, counted
+  /// in `counter`.
+  void reject(const std::shared_ptr<Connection>& conn,
+              const FrameHeader& header, service::ServeStatus status,
+              std::atomic<std::uint64_t>& counter);
   template <typename Response>
   void finish(const std::shared_ptr<Connection>& conn, Op op,
-              std::uint64_t correlation_id, std::uint16_t version,
-              std::future<Response> future,
+              std::uint64_t correlation_id, std::future<Response> future,
               Bytes (*encoder)(const Response&));
   void wake();
 

@@ -19,21 +19,52 @@ void append_le(Bytes& out, std::uint64_t v, std::size_t n_bytes) {
   }
 }
 
-/// v2 request payloads end with the stream string; v1 payloads omit it
-/// (an absent id means the default stream, which is also what an empty v2
-/// string means, so decode leaves the field defaulted).
-void encode_stream(WireWriter& w, const std::string& stream,
-                   std::uint16_t version) {
-  if (version >= 2) w.str(stream);
+/// Number of fixed-width fields in a stats stream block (after its name).
+constexpr std::size_t kStreamBlockFields = 24;
+
+void encode_stream_stats(WireWriter& w, const service::StreamStats& s) {
+  w.str(s.stream);
+  w.u64(s.label_requests);
+  w.u64(s.lookup_requests);
+  w.u64(s.recommend_requests);
+  w.u64(s.label_answered);
+  w.u64(s.lookup_answered);
+  w.u64(s.recommend_answered);
+  w.u64(s.label_shed);
+  w.u64(s.lookup_shed);
+  w.u64(s.recommend_shed);
+  w.u64(s.queue_depth);
+  w.u64(s.max_queue_depth);
+  w.u64(s.max_pending);
+  w.u64(s.samples_labeled);
+  w.u64(s.labels_reused);
+  w.u64(s.labels_computed);
+  w.f64(s.busy_seconds);
+  w.f64(s.max_request_seconds);
+  w.u64(s.retrain_checks);
+  w.u64(s.retrains);
+  w.u64(s.retrains_coalesced);
+  w.u64(s.retrains_capped);
+  w.u64(s.policy_cooldown_skips);
+  w.u64(s.snapshot_version);
+  w.u64(s.store_shards);
 }
 
-[[nodiscard]] bool decode_stream(WireReader& r, std::string* stream,
-                                 std::uint16_t version) {
-  // Cleared first so decoding a v1 body into a reused DTO cannot leave a
-  // stale stream id behind (v1 frames always mean the default stream).
-  stream->clear();
-  if (version < 2) return true;
-  return r.str(stream);
+[[nodiscard]] bool decode_stream_stats(WireReader& r,
+                                       service::StreamStats* s) {
+  return r.str(&s->stream) && r.u64(&s->label_requests) &&
+         r.u64(&s->lookup_requests) && r.u64(&s->recommend_requests) &&
+         r.u64(&s->label_answered) && r.u64(&s->lookup_answered) &&
+         r.u64(&s->recommend_answered) && r.u64(&s->label_shed) &&
+         r.u64(&s->lookup_shed) && r.u64(&s->recommend_shed) &&
+         r.u64(&s->queue_depth) && r.u64(&s->max_queue_depth) &&
+         r.u64(&s->max_pending) && r.u64(&s->samples_labeled) &&
+         r.u64(&s->labels_reused) && r.u64(&s->labels_computed) &&
+         r.f64(&s->busy_seconds) && r.f64(&s->max_request_seconds) &&
+         r.u64(&s->retrain_checks) && r.u64(&s->retrains) &&
+         r.u64(&s->retrains_coalesced) && r.u64(&s->retrains_capped) &&
+         r.u64(&s->policy_cooldown_skips) && r.u64(&s->snapshot_version) &&
+         r.u64(&s->store_shards);
 }
 
 }  // namespace
@@ -172,11 +203,10 @@ bool WireReader::pdf(std::vector<double>* p, std::size_t max_len) {
 // --- frames -----------------------------------------------------------------
 
 Bytes encode_frame(Op op, service::ServeStatus status,
-                   std::uint64_t correlation_id, const Bytes& payload,
-                   std::uint16_t version) {
+                   std::uint64_t correlation_id, const Bytes& payload) {
   WireWriter w;
   w.u32(kMagic);
-  w.u16(version);
+  w.u16(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(op));
   w.u8(static_cast<std::uint8_t>(status));
   w.u64(correlation_id);
@@ -218,20 +248,19 @@ bool decode_hello_ack(std::span<const std::uint8_t> payload, HelloAck* ack) {
   return r.u16(&ack->version) && r.u32(&ack->max_payload) && r.done();
 }
 
-Bytes encode_label_request(const service::LabelRequest& req,
-                           std::uint16_t version) {
+Bytes encode_label_request(const service::LabelRequest& req) {
   WireWriter w;
   w.tensor(req.xs);
   w.f64(req.threshold);
-  encode_stream(w, req.stream, version);
+  w.str(req.stream);
   return w.take();
 }
 
 bool decode_label_request(std::span<const std::uint8_t> payload,
-                          service::LabelRequest* req, std::uint16_t version) {
+                          service::LabelRequest* req) {
   WireReader r(payload);
   return r.tensor(&req->xs) && r.f64(&req->threshold) &&
-         decode_stream(r, &req->stream, version) && r.done();
+         r.str(&req->stream) && r.done();
 }
 
 Bytes encode_label_response(const service::LabelResponse& resp) {
@@ -259,21 +288,19 @@ bool decode_label_response(std::span<const std::uint8_t> payload,
   return true;
 }
 
-Bytes encode_lookup_request(const service::LookupRequest& req,
-                            std::uint16_t version) {
+Bytes encode_lookup_request(const service::LookupRequest& req) {
   WireWriter w;
   w.tensor(req.xs);
   w.u64(req.seed);
-  encode_stream(w, req.stream, version);
+  w.str(req.stream);
   return w.take();
 }
 
 bool decode_lookup_request(std::span<const std::uint8_t> payload,
-                           service::LookupRequest* req,
-                           std::uint16_t version) {
+                           service::LookupRequest* req) {
   WireReader r(payload);
-  return r.tensor(&req->xs) && r.u64(&req->seed) &&
-         decode_stream(r, &req->stream, version) && r.done();
+  return r.tensor(&req->xs) && r.u64(&req->seed) && r.str(&req->stream) &&
+         r.done();
 }
 
 Bytes encode_lookup_response(const service::LookupResponse& resp) {
@@ -292,21 +319,19 @@ bool decode_lookup_response(std::span<const std::uint8_t> payload,
          r.u64(&resp->snapshot_version) && r.f64(&resp->seconds) && r.done();
 }
 
-Bytes encode_recommend_request(const service::RecommendRequest& req,
-                               std::uint16_t version) {
+Bytes encode_recommend_request(const service::RecommendRequest& req) {
   WireWriter w;
   w.str(req.architecture);
   w.tensor(req.xs);
-  encode_stream(w, req.stream, version);
+  w.str(req.stream);
   return w.take();
 }
 
 bool decode_recommend_request(std::span<const std::uint8_t> payload,
-                              service::RecommendRequest* req,
-                              std::uint16_t version) {
+                              service::RecommendRequest* req) {
   WireReader r(payload);
   return r.str(&req->architecture) && r.tensor(&req->xs) &&
-         decode_stream(r, &req->stream, version) && r.done();
+         r.str(&req->stream) && r.done();
 }
 
 Bytes encode_recommend_response(const service::RecommendResponse& resp) {
@@ -340,134 +365,56 @@ bool decode_recommend_response(std::span<const std::uint8_t> payload,
   return true;
 }
 
-Bytes encode_stats_response(const service::ServiceStats& s,
-                            std::uint16_t version) {
+Bytes encode_stats_response(const service::ServiceStats& s) {
   WireWriter w;
-  w.u64(s.label_requests);
-  w.u64(s.lookup_requests);
-  w.u64(s.recommend_requests);
-  w.u64(s.label_answered);
-  w.u64(s.lookup_answered);
-  w.u64(s.recommend_answered);
-  w.u64(s.label_shed);
-  w.u64(s.lookup_shed);
-  w.u64(s.recommend_shed);
   w.u64(s.queue_depth);
   w.u64(s.max_queue_depth);
   w.u64(s.max_pending);
-  w.u64(s.samples_labeled);
-  w.u64(s.labels_reused);
-  w.u64(s.labels_computed);
-  w.f64(s.busy_seconds);
-  w.f64(s.max_request_seconds);
-  w.u64(s.retrain_checks);
-  w.u64(s.retrains);
-  w.u64(s.retrains_coalesced);
-  w.u64(s.store_shards);
+  w.u64(s.unknown_stream_requests);
   w.u64(s.model_cache_hits);
   w.u64(s.model_cache_misses);
   w.u64(s.model_cache_evictions);
   w.u64(s.model_cache_bytes);
-  if (version < 2) return w.take();
-  w.u64(s.retrains_capped);
-  w.u64(s.policy_cooldown_skips);
-  w.u64(s.unknown_stream_requests);
   w.u32(static_cast<std::uint32_t>(s.streams.size()));
-  for (const service::StreamStats& ss : s.streams) {
-    w.str(ss.stream);
-    w.u64(ss.label_requests);
-    w.u64(ss.lookup_requests);
-    w.u64(ss.recommend_requests);
-    w.u64(ss.label_answered);
-    w.u64(ss.lookup_answered);
-    w.u64(ss.recommend_answered);
-    w.u64(ss.label_shed);
-    w.u64(ss.lookup_shed);
-    w.u64(ss.recommend_shed);
-    w.u64(ss.queue_depth);
-    w.u64(ss.max_queue_depth);
-    w.u64(ss.max_pending);
-    w.u64(ss.samples_labeled);
-    w.u64(ss.labels_reused);
-    w.u64(ss.labels_computed);
-    w.f64(ss.busy_seconds);
-    w.f64(ss.max_request_seconds);
-    w.u64(ss.retrain_checks);
-    w.u64(ss.retrains);
-    w.u64(ss.retrains_coalesced);
-    w.u64(ss.retrains_capped);
-    w.u64(ss.policy_cooldown_skips);
-    w.u64(ss.snapshot_version);
-    w.u64(ss.store_shards);
+  for (const service::StreamStats& stream : s.streams) {
+    encode_stream_stats(w, stream);
   }
   return w.take();
 }
 
 bool decode_stats_response(std::span<const std::uint8_t> payload,
-                           service::ServiceStats* s, std::uint16_t version) {
+                           service::ServiceStats* s) {
   WireReader r(payload);
-  const bool v1_ok =
-      r.u64(&s->label_requests) && r.u64(&s->lookup_requests) &&
-      r.u64(&s->recommend_requests) && r.u64(&s->label_answered) &&
-      r.u64(&s->lookup_answered) && r.u64(&s->recommend_answered) &&
-      r.u64(&s->label_shed) && r.u64(&s->lookup_shed) &&
-      r.u64(&s->recommend_shed) && r.u64(&s->queue_depth) &&
-      r.u64(&s->max_queue_depth) && r.u64(&s->max_pending) &&
-      r.u64(&s->samples_labeled) && r.u64(&s->labels_reused) &&
-      r.u64(&s->labels_computed) && r.f64(&s->busy_seconds) &&
-      r.f64(&s->max_request_seconds) && r.u64(&s->retrain_checks) &&
-      r.u64(&s->retrains) && r.u64(&s->retrains_coalesced) &&
-      r.u64(&s->store_shards) && r.u64(&s->model_cache_hits) &&
-      r.u64(&s->model_cache_misses) && r.u64(&s->model_cache_evictions) &&
-      r.u64(&s->model_cache_bytes);
-  if (!v1_ok) return false;
-  if (version < 2) return r.done();
   std::uint32_t n_streams;
-  if (!(r.u64(&s->retrains_capped) && r.u64(&s->policy_cooldown_skips) &&
-        r.u64(&s->unknown_stream_requests) && r.u32(&n_streams))) {
+  if (!(r.u64(&s->queue_depth) && r.u64(&s->max_queue_depth) &&
+        r.u64(&s->max_pending) && r.u64(&s->unknown_stream_requests) &&
+        r.u64(&s->model_cache_hits) && r.u64(&s->model_cache_misses) &&
+        r.u64(&s->model_cache_evictions) && r.u64(&s->model_cache_bytes) &&
+        r.u32(&n_streams))) {
     return false;
   }
-  // Each block is at least 4 (name length) + 24 * 8 bytes, so a hostile
-  // count can't make the reserve allocate past what the payload backs.
-  if (n_streams > r.remaining() / (4 + 24 * 8)) return false;
-  s->streams.clear();
-  s->streams.reserve(n_streams);
-  for (std::uint32_t i = 0; i < n_streams; ++i) {
-    service::StreamStats ss;
-    if (!(r.str(&ss.stream) && r.u64(&ss.label_requests) &&
-          r.u64(&ss.lookup_requests) && r.u64(&ss.recommend_requests) &&
-          r.u64(&ss.label_answered) && r.u64(&ss.lookup_answered) &&
-          r.u64(&ss.recommend_answered) && r.u64(&ss.label_shed) &&
-          r.u64(&ss.lookup_shed) && r.u64(&ss.recommend_shed) &&
-          r.u64(&ss.queue_depth) && r.u64(&ss.max_queue_depth) &&
-          r.u64(&ss.max_pending) && r.u64(&ss.samples_labeled) &&
-          r.u64(&ss.labels_reused) && r.u64(&ss.labels_computed) &&
-          r.f64(&ss.busy_seconds) && r.f64(&ss.max_request_seconds) &&
-          r.u64(&ss.retrain_checks) && r.u64(&ss.retrains) &&
-          r.u64(&ss.retrains_coalesced) && r.u64(&ss.retrains_capped) &&
-          r.u64(&ss.policy_cooldown_skips) && r.u64(&ss.snapshot_version) &&
-          r.u64(&ss.store_shards))) {
-      return false;
-    }
-    s->streams.push_back(std::move(ss));
+  // Each block is at least a name length plus its fixed fields, so a
+  // hostile count can't make the reserve allocate past what the payload
+  // backs.
+  if (n_streams > r.remaining() / (4 + kStreamBlockFields * 8)) return false;
+  s->streams.assign(n_streams, service::StreamStats{});
+  for (service::StreamStats& stream : s->streams) {
+    if (!decode_stream_stats(r, &stream)) return false;
   }
   return r.done();
 }
 
-Bytes encode_retrain_request(const service::RetrainRequest& req,
-                             std::uint16_t version) {
+Bytes encode_retrain_request(const service::RetrainRequest& req) {
   WireWriter w;
   w.tensor(req.xs);
-  encode_stream(w, req.stream, version);
+  w.str(req.stream);
   return w.take();
 }
 
 bool decode_retrain_request(std::span<const std::uint8_t> payload,
-                            service::RetrainRequest* req,
-                            std::uint16_t version) {
+                            service::RetrainRequest* req) {
   WireReader r(payload);
-  return r.tensor(&req->xs) && decode_stream(r, &req->stream, version) &&
-         r.done();
+  return r.tensor(&req->xs) && r.str(&req->stream) && r.done();
 }
 
 Bytes encode_retrain_response(bool accepted) {

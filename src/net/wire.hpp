@@ -40,17 +40,11 @@ namespace fairdms::net {
 using Bytes = std::vector<std::uint8_t>;
 
 inline constexpr std::uint32_t kMagic = 0x534D4446u;  // "FDMS"
-/// Current protocol version. v2 adds multi-stream routing: request
-/// payloads grow a trailing stream-name string, the stats response grows
-/// a per-stream breakdown, and the kUnknownStream status byte becomes
-/// legal on replies. The server still speaks v1 per-frame (see
-/// kMinProtocolVersion): a v1 frame's requests route to the default
-/// stream and its replies are encoded in the v1 layout, so old clients
-/// work against a v2 server unchanged.
-inline constexpr std::uint16_t kProtocolVersion = 2;
-/// Oldest version the server still answers (frames below it are
-/// malformed).
-inline constexpr std::uint16_t kMinProtocolVersion = 1;
+/// The one protocol version both ends speak. A frame stamped with any
+/// other version (hello included) is malformed: payload layouts differ
+/// across versions, so a peer built for another one is refused at its
+/// first frame instead of misreading replies.
+inline constexpr std::uint16_t kProtocolVersion = 3;
 inline constexpr std::size_t kHeaderSize = 20;
 
 /// Default cap on a single frame's payload. Generous for image batches
@@ -156,13 +150,11 @@ class WireReader {
 
 // --- frames -----------------------------------------------------------------
 
-/// One complete frame: header + payload, ready to write to a socket.
-/// `version` is stamped into the header verbatim — the payload must have
-/// been encoded by a codec called with the same version.
+/// One complete frame: header (stamped kProtocolVersion) + payload, ready
+/// to write to a socket.
 [[nodiscard]] Bytes encode_frame(Op op, service::ServeStatus status,
                                  std::uint64_t correlation_id,
-                                 const Bytes& payload,
-                                 std::uint16_t version = kProtocolVersion);
+                                 const Bytes& payload);
 
 /// Decodes the 20-byte header. nullopt on short input, wrong magic, or a
 /// status byte outside the ServeStatus range. The version is NOT validated
@@ -173,11 +165,8 @@ class WireReader {
 // --- DTO payload codecs -----------------------------------------------------
 // Encoders produce the payload only (the status travels in the header);
 // decoders return false on any malformed input and require the payload to
-// be fully consumed. Request codecs (and the stats response, whose layout
-// changed in v2) take the frame's negotiated version: v1 omits the
-// trailing stream string, v2 appends it LAST so the v1 prefix of every
-// payload is byte-identical across versions. Callers pass the version out
-// of the frame header; a codec never guesses from payload length.
+// be fully consumed. Request payloads end with the target stream name
+// (empty => the default stream).
 
 [[nodiscard]] Bytes encode_hello_ack(const HelloAck& ack);
 [[nodiscard]] bool decode_hello_ack(std::span<const std::uint8_t> payload,
@@ -187,56 +176,41 @@ class WireReader {
 /// is code and stays a server-side policy (net::ServerConfig), exactly as
 /// the paper's conventional labeler runs beside the data service, not on
 /// the beamline client.
-[[nodiscard]] Bytes encode_label_request(
-    const service::LabelRequest& req,
-    std::uint16_t version = kProtocolVersion);
+[[nodiscard]] Bytes encode_label_request(const service::LabelRequest& req);
 [[nodiscard]] bool decode_label_request(std::span<const std::uint8_t> payload,
-                                        service::LabelRequest* req,
-                                        std::uint16_t version = kProtocolVersion);
+                                        service::LabelRequest* req);
 [[nodiscard]] Bytes encode_label_response(const service::LabelResponse& resp);
 [[nodiscard]] bool decode_label_response(std::span<const std::uint8_t> payload,
                                          service::LabelResponse* resp);
 
-[[nodiscard]] Bytes encode_lookup_request(
-    const service::LookupRequest& req,
-    std::uint16_t version = kProtocolVersion);
+[[nodiscard]] Bytes encode_lookup_request(const service::LookupRequest& req);
 [[nodiscard]] bool decode_lookup_request(
-    std::span<const std::uint8_t> payload, service::LookupRequest* req,
-    std::uint16_t version = kProtocolVersion);
+    std::span<const std::uint8_t> payload, service::LookupRequest* req);
 [[nodiscard]] Bytes encode_lookup_response(
     const service::LookupResponse& resp);
 [[nodiscard]] bool decode_lookup_response(
     std::span<const std::uint8_t> payload, service::LookupResponse* resp);
 
 [[nodiscard]] Bytes encode_recommend_request(
-    const service::RecommendRequest& req,
-    std::uint16_t version = kProtocolVersion);
+    const service::RecommendRequest& req);
 [[nodiscard]] bool decode_recommend_request(
-    std::span<const std::uint8_t> payload, service::RecommendRequest* req,
-    std::uint16_t version = kProtocolVersion);
+    std::span<const std::uint8_t> payload, service::RecommendRequest* req);
 [[nodiscard]] Bytes encode_recommend_response(
     const service::RecommendResponse& resp);
 [[nodiscard]] bool decode_recommend_response(
     std::span<const std::uint8_t> payload, service::RecommendResponse* resp);
 
-/// Stats is the one response whose layout is versioned: the v1 body (25
-/// fixed fields) stays a byte-identical prefix; v2 appends the new global
-/// counters (retrains_capped, policy_cooldown_skips,
-/// unknown_stream_requests) and the per-stream breakdown. A v1 peer asking
-/// a v2 server simply receives the v1 body — aggregates only.
-[[nodiscard]] Bytes encode_stats_response(
-    const service::ServiceStats& stats,
-    std::uint16_t version = kProtocolVersion);
+/// The stats body: the ServiceStats gauges, a u32 stream count, then one
+/// block per stream (its name and every StreamStats counter). Service-wide
+/// counters are not sent; the receiver folds them with totals().
+[[nodiscard]] Bytes encode_stats_response(const service::ServiceStats& stats);
 [[nodiscard]] bool decode_stats_response(
-    std::span<const std::uint8_t> payload, service::ServiceStats* stats,
-    std::uint16_t version = kProtocolVersion);
+    std::span<const std::uint8_t> payload, service::ServiceStats* stats);
 
 [[nodiscard]] Bytes encode_retrain_request(
-    const service::RetrainRequest& req,
-    std::uint16_t version = kProtocolVersion);
+    const service::RetrainRequest& req);
 [[nodiscard]] bool decode_retrain_request(
-    std::span<const std::uint8_t> payload, service::RetrainRequest* req,
-    std::uint16_t version = kProtocolVersion);
+    std::span<const std::uint8_t> payload, service::RetrainRequest* req);
 [[nodiscard]] Bytes encode_retrain_response(bool accepted);
 [[nodiscard]] bool decode_retrain_response(
     std::span<const std::uint8_t> payload, bool* accepted);

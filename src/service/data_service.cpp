@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 
@@ -39,29 +40,33 @@ void cas_max(std::atomic<std::uint64_t>& mark, std::uint64_t value) {
   }
 }
 
-StreamConfig default_stream_config(const DataServiceConfig& config) {
-  StreamConfig out;
-  out.retrain.auto_trigger = config.auto_retrain;
-  out.store_shards = config.store_shards;
-  out.storage_engine = config.storage_engine;
-  out.model_cache_bytes = config.model_cache_bytes;
-  return out;
+/// Per-stream half of the two-level admission: reserve a pending slot (CAS
+/// against the stream bound, so the submit path never locks for it).
+/// False => per-stream shed.
+bool reserve_pending(Stream& stream) {
+  const std::uint64_t bound = stream.config.max_pending;
+  std::uint64_t seen = stream.pending.load(std::memory_order_relaxed);
+  for (;;) {
+    if (bound != 0 && seen >= bound) return false;
+    if (stream.pending.compare_exchange_weak(seen, seen + 1,
+                                             std::memory_order_acq_rel)) {
+      cas_max(stream.max_pending_seen, seen + 1);
+      return true;
+    }
+  }
 }
 
 }  // namespace
 
+struct DataService::Ledger {
+  std::uint64_t StreamStats::*requests;
+  std::uint64_t StreamStats::*answered;
+  std::uint64_t StreamStats::*shed;
+};
+
 DataService::DataService(DataServiceConfig config)
     : config_(std::move(config)),
       workers_(worker_count_for(config_.workers), config_.max_pending) {}
-
-DataService::DataService(fairds::FairDS& ds, DataServiceConfig config,
-                         const fairms::ModelManager* manager)
-    : DataService(config) {
-  const bool added =
-      add_stream(kDefaultStreamName, ds, default_stream_config(config_),
-                 manager);
-  FAIRDMS_CHECK(added, "DataService: default stream registration failed");
-}
 
 DataService::~DataService() { wait_idle(); }
 
@@ -92,169 +97,110 @@ bool DataService::has_model_manager(const std::string& stream) const {
   return s != nullptr && s->manager != nullptr;
 }
 
-bool DataService::reserve_pending(Stream& stream) {
-  const std::uint64_t bound = stream.config.max_pending;
-  std::uint64_t seen = stream.pending.load(std::memory_order_relaxed);
-  for (;;) {
-    if (bound != 0 && seen >= bound) return false;
-    if (stream.pending.compare_exchange_weak(seen, seen + 1,
-                                             std::memory_order_acq_rel)) {
-      cas_max(stream.max_pending_seen, seen + 1);
-      return true;
-    }
+template <typename Response, typename Request, typename Run>
+std::future<Response> DataService::submit_to_stream(Request request,
+                                                    Ledger ledger, Run run) {
+  auto stream = registry_.find(request.stream);
+  if (stream == nullptr) {
+    unknown_stream_requests_.fetch_add(1, std::memory_order_relaxed);
+    return rejected_future<Response>(ServeStatus::kUnknownStream);
   }
-}
-
-void DataService::note_admitted(Stream& stream) {
-  (void)stream;  // the per-stream mark was folded in by reserve_pending
+  if constexpr (std::is_same_v<Request, RecommendRequest>) {
+    FAIRDMS_CHECK(stream->manager != nullptr, "RecommendRequest on stream '",
+                  stream->name, "' without a ModelManager");
+  }
+  const auto shed = [&stream, &ledger] {
+    util::MutexLock lock(stream->stats_mutex);
+    ++(stream->counters.*ledger.shed);
+    return rejected_future<Response>(ServeStatus::kShedOverload);
+  };
+  {
+    util::MutexLock lock(stream->stats_mutex);
+    ++(stream->counters.*ledger.requests);
+  }
+  if (!reserve_pending(*stream)) return shed();
+  auto req = std::make_shared<Request>(std::move(request));
+  auto admitted = workers_.try_async([this, stream, req, ledger, run] {
+    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
+    util::WallTimer timer;
+    const auto snap = stream->ds->snapshot();
+    FAIRDMS_CHECK(snap != nullptr, "DataService: stream '", stream->name,
+                  "' not trained");
+    Response response = run(*stream, *snap, *req);
+    response.snapshot_version = snap->version();
+    response.seconds = timer.seconds();
+    {
+      util::MutexLock lock(stream->stats_mutex);
+      StreamStats& counters = stream->counters;
+      ++(counters.*ledger.answered);
+      if constexpr (std::is_same_v<Request, LabelRequest>) {
+        counters.samples_labeled += req->xs.dim(0);
+        counters.labels_reused += response.reuse.reused;
+        counters.labels_computed += response.reuse.computed;
+      }
+      counters.busy_seconds += response.seconds;
+      counters.max_request_seconds =
+          std::max(counters.max_request_seconds, response.seconds);
+    }
+    if constexpr (std::is_same_v<Request, LabelRequest>) {
+      // Serving-side Fig. 16 policy: the data just labeled doubles as the
+      // drift probe, gated by this stream's RetrainPolicy.
+      maybe_auto_retrain(stream, req->xs);
+    }
+    return response;
+  });
+  if (!admitted) {
+    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
+    return shed();
+  }
+  // Service-wide half of the admission ledger: the shared pool's high-water
+  // mark (the per-stream one was taken by reserve_pending).
   cas_max(max_queue_depth_, workers_.queue_depth());
+  return std::move(*admitted);
 }
 
 std::future<LabelResponse> DataService::submit(LabelRequest request) {
   FAIRDMS_CHECK(request.fallback_labeler != nullptr,
                 "LabelRequest without a fallback labeler");
-  auto stream = registry_.find(request.stream);
-  if (stream == nullptr) {
-    unknown_stream_requests_.fetch_add(1, std::memory_order_relaxed);
-    return rejected_future<LabelResponse>(ServeStatus::kUnknownStream);
-  }
-  {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.label_requests;
-  }
-  if (!reserve_pending(*stream)) {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.label_shed;
-    return rejected_future<LabelResponse>(ServeStatus::kShedOverload);
-  }
-  auto req = std::make_shared<LabelRequest>(std::move(request));
-  auto admitted = workers_.try_async([this, stream, req] {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::WallTimer timer;
-    const auto snap = stream->ds->snapshot();
-    FAIRDMS_CHECK(snap != nullptr, "DataService: stream '", stream->name,
-                  "' not trained");
-    LabelResponse response;
-    response.batch = snap->lookup_or_label(
-        req->xs, req->threshold, req->fallback_labeler, &response.reuse);
-    response.snapshot_version = snap->version();
-    response.seconds = timer.seconds();
-    {
-      util::MutexLock lock(stream->stats_mutex);
-      ++stream->counters.label_answered;
-      stream->counters.samples_labeled += req->xs.dim(0);
-      stream->counters.labels_reused += response.reuse.reused;
-      stream->counters.labels_computed += response.reuse.computed;
-      stream->counters.busy_seconds += response.seconds;
-      stream->counters.max_request_seconds =
-          std::max(stream->counters.max_request_seconds, response.seconds);
-    }
-    // Serving-side Fig. 16 policy: the data just labeled doubles as the
-    // drift probe, gated by this stream's RetrainPolicy.
-    maybe_auto_retrain(stream, req->xs);
-    return response;
-  });
-  if (!admitted) {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.label_shed;
-    return rejected_future<LabelResponse>(ServeStatus::kShedOverload);
-  }
-  note_admitted(*stream);
-  return std::move(*admitted);
+  return submit_to_stream<LabelResponse>(
+      std::move(request),
+      {&StreamStats::label_requests, &StreamStats::label_answered,
+       &StreamStats::label_shed},
+      [](const Stream&, const fairds::Snapshot& snap,
+         const LabelRequest& req) {
+        LabelResponse response;
+        response.batch = snap.lookup_or_label(
+            req.xs, req.threshold, req.fallback_labeler, &response.reuse);
+        return response;
+      });
 }
 
 std::future<LookupResponse> DataService::submit(LookupRequest request) {
-  auto stream = registry_.find(request.stream);
-  if (stream == nullptr) {
-    unknown_stream_requests_.fetch_add(1, std::memory_order_relaxed);
-    return rejected_future<LookupResponse>(ServeStatus::kUnknownStream);
-  }
-  {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.lookup_requests;
-  }
-  if (!reserve_pending(*stream)) {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.lookup_shed;
-    return rejected_future<LookupResponse>(ServeStatus::kShedOverload);
-  }
-  auto req = std::make_shared<LookupRequest>(std::move(request));
-  auto admitted = workers_.try_async([this, stream, req] {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::WallTimer timer;
-    const auto snap = stream->ds->snapshot();
-    FAIRDMS_CHECK(snap != nullptr, "DataService: stream '", stream->name,
-                  "' not trained");
-    LookupResponse response;
-    response.batch = snap->lookup(req->xs, req->seed);
-    response.snapshot_version = snap->version();
-    response.seconds = timer.seconds();
-    {
-      util::MutexLock lock(stream->stats_mutex);
-      ++stream->counters.lookup_answered;
-      stream->counters.busy_seconds += response.seconds;
-      stream->counters.max_request_seconds =
-          std::max(stream->counters.max_request_seconds, response.seconds);
-    }
-    return response;
-  });
-  if (!admitted) {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.lookup_shed;
-    return rejected_future<LookupResponse>(ServeStatus::kShedOverload);
-  }
-  note_admitted(*stream);
-  return std::move(*admitted);
+  return submit_to_stream<LookupResponse>(
+      std::move(request),
+      {&StreamStats::lookup_requests, &StreamStats::lookup_answered,
+       &StreamStats::lookup_shed},
+      [](const Stream&, const fairds::Snapshot& snap,
+         const LookupRequest& req) {
+        LookupResponse response;
+        response.batch = snap.lookup(req.xs, req.seed);
+        return response;
+      });
 }
 
 std::future<RecommendResponse> DataService::submit(RecommendRequest request) {
-  auto stream = registry_.find(request.stream);
-  if (stream == nullptr) {
-    unknown_stream_requests_.fetch_add(1, std::memory_order_relaxed);
-    return rejected_future<RecommendResponse>(ServeStatus::kUnknownStream);
-  }
-  FAIRDMS_CHECK(stream->manager != nullptr, "RecommendRequest on stream '",
-                stream->name, "' without a ModelManager");
-  {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.recommend_requests;
-  }
-  if (!reserve_pending(*stream)) {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.recommend_shed;
-    return rejected_future<RecommendResponse>(ServeStatus::kShedOverload);
-  }
-  auto req = std::make_shared<RecommendRequest>(std::move(request));
-  auto admitted = workers_.try_async([this, stream, req] {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::WallTimer timer;
-    const auto snap = stream->ds->snapshot();
-    FAIRDMS_CHECK(snap != nullptr, "DataService: stream '", stream->name,
-                  "' not trained");
-    RecommendResponse response;
-    response.pdf = snap->distribution(req->xs);
-    response.pick = stream->manager->recommend(req->architecture, response.pdf);
-    response.snapshot_version = snap->version();
-    response.seconds = timer.seconds();
-    {
-      util::MutexLock lock(stream->stats_mutex);
-      ++stream->counters.recommend_answered;
-      stream->counters.busy_seconds += response.seconds;
-      stream->counters.max_request_seconds =
-          std::max(stream->counters.max_request_seconds, response.seconds);
-    }
-    return response;
-  });
-  if (!admitted) {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.recommend_shed;
-    return rejected_future<RecommendResponse>(ServeStatus::kShedOverload);
-  }
-  note_admitted(*stream);
-  return std::move(*admitted);
+  return submit_to_stream<RecommendResponse>(
+      std::move(request),
+      {&StreamStats::recommend_requests, &StreamStats::recommend_answered,
+       &StreamStats::recommend_shed},
+      [](const Stream& stream, const fairds::Snapshot& snap,
+         const RecommendRequest& req) {
+        RecommendResponse response;
+        response.pdf = snap.distribution(req.xs);
+        response.pick = stream.manager->recommend(req.architecture,
+                                                  response.pdf);
+        return response;
+      });
 }
 
 void DataService::maybe_auto_retrain(const std::shared_ptr<Stream>& stream,
@@ -389,37 +335,13 @@ ServiceStats DataService::stats() const {
       unknown_stream_requests_.load(std::memory_order_relaxed);
 
   // Per-stream snapshots taken one at a time (never two stats mutexes at
-  // once), then summed — the reconciliation invariant is structural.
+  // once).
   std::unordered_set<const fairms::ModelManager*> managers;
   const auto streams = registry_.all();
   out.streams.reserve(streams.size());
   for (const auto& stream : streams) {
-    StreamStats s = stream->stats();
-    out.label_requests += s.label_requests;
-    out.lookup_requests += s.lookup_requests;
-    out.recommend_requests += s.recommend_requests;
-    out.label_answered += s.label_answered;
-    out.lookup_answered += s.lookup_answered;
-    out.recommend_answered += s.recommend_answered;
-    out.label_shed += s.label_shed;
-    out.lookup_shed += s.lookup_shed;
-    out.recommend_shed += s.recommend_shed;
-    out.samples_labeled += s.samples_labeled;
-    out.labels_reused += s.labels_reused;
-    out.labels_computed += s.labels_computed;
-    out.busy_seconds += s.busy_seconds;
-    out.max_request_seconds =
-        std::max(out.max_request_seconds, s.max_request_seconds);
-    out.retrain_checks += s.retrain_checks;
-    out.retrains += s.retrains;
-    out.retrains_coalesced += s.retrains_coalesced;
-    out.retrains_capped += s.retrains_capped;
-    out.policy_cooldown_skips += s.policy_cooldown_skips;
-    if (stream->name == kDefaultStreamName || streams.size() == 1) {
-      out.store_shards = s.store_shards;
-    }
+    out.streams.push_back(stream->stats());
     if (stream->manager != nullptr) managers.insert(stream->manager);
-    out.streams.push_back(std::move(s));
   }
   // Model-plane cache gauges, deduplicated by manager so tenants sharing
   // one zoo are not double-counted.

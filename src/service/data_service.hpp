@@ -8,8 +8,7 @@
 // RetrainPolicy, retrain executor, and admission ledger — registered in a
 // StreamRegistry whose name->stream route is lock-free (see
 // stream_registry.hpp). Every user-plane DTO carries a `stream` id; an
-// empty id maps to kDefaultStreamName (what the legacy single-stream
-// constructor registers, and what wire-v1 peers resolve to).
+// empty id maps to kDefaultStreamName.
 //
 // Two planes per stream, shared worker pool:
 //  * User plane: submit() routes the request to its stream, enqueues it on
@@ -56,24 +55,6 @@ struct DataServiceConfig {
   /// User-plane worker threads; 0 => max(2, hardware_concurrency) so even
   /// single-core hosts overlap request execution with client submission.
   std::size_t workers = 0;
-  /// Legacy single-stream switch: when true, the one-stream constructor
-  /// registers its default stream with RetrainPolicy{.auto_trigger = true}
-  /// (threshold/cooldown/min-samples at their permissive defaults, exactly
-  /// the pre-policy behavior). Ignored by the multi-stream constructor —
-  /// pass per-stream policies through add_stream instead.
-  bool auto_retrain = false;
-  /// Declared shard count of the default stream's sample collection; 0 =>
-  /// don't care. Checked at registration against the FairDS's actual
-  /// collection, failing loudly when a deployment assumed ingest
-  /// parallelism the store was not built with. (Per-stream analogue:
-  /// StreamConfig::store_shards.)
-  std::size_t store_shards = 0;
-  /// Declared storage engine of the default stream's collection ("mem" |
-  /// "log"); empty => don't care. Checked like store_shards.
-  std::string storage_engine = "";
-  /// Re-budgets the default stream's model-plane cache at registration
-  /// (requires a ModelManager). 0 => leave the zoo's budget as configured.
-  std::size_t model_cache_bytes = 0;
   /// Service-wide admission bound: user-plane requests admitted (across
   /// all streams) but not yet picked up by a worker. 0 => unbounded.
   /// Requests already executing don't count, so total in-service work is
@@ -88,14 +69,9 @@ struct DataServiceConfig {
 
 class DataService {
  public:
-  /// Legacy single-stream service: registers `ds` as kDefaultStreamName
-  /// with the config's declared-shards/engine/cache-budget checks and (when
-  /// auto_retrain) the permissive-default RetrainPolicy. `manager` is
-  /// optional and only needed for RecommendRequest.
-  explicit DataService(fairds::FairDS& ds, DataServiceConfig config = {},
-                       const fairms::ModelManager* manager = nullptr);
-  /// Multi-stream service: starts with an empty registry; add_stream()
-  /// tenants before (or while) serving.
+  /// Starts with an empty registry; add_stream() tenants before (or while)
+  /// serving. A single-tenant caller registers one stream as
+  /// kDefaultStreamName, which requests with an empty `stream` route to.
   explicit DataService(DataServiceConfig config);
   ~DataService();
 
@@ -105,7 +81,8 @@ class DataService {
   // --- stream registry ------------------------------------------------------
   /// Registers a tenant. False when the name is taken. Thread-safe against
   /// concurrent submits (registration is copy-on-write; routing stays
-  /// lock-free).
+  /// lock-free). `manager` is optional and only needed for
+  /// RecommendRequest.
   bool add_stream(const std::string& name, fairds::FairDS& ds,
                   StreamConfig config = {},
                   const fairms::ModelManager* manager = nullptr);
@@ -127,7 +104,7 @@ class DataService {
   /// (max_concurrent_retrains reached), or the stream is unknown; `xs` is
   /// not copied in any of those cases. Never blocks on training.
   bool request_retrain(const std::string& stream, const Tensor& xs);
-  /// Default-stream shorthand (the legacy call sites).
+  /// Default-stream shorthand for single-tenant callers.
   bool request_retrain(const Tensor& xs) { return request_retrain("", xs); }
   [[nodiscard]] bool retrain_in_flight() const;
   [[nodiscard]] bool retrain_in_flight(const std::string& stream) const;
@@ -136,9 +113,8 @@ class DataService {
   /// no retrain in flight on any stream).
   void wait_idle();
 
-  /// Global aggregates (computed as sums over streams at read time, so
-  /// global == sum-over-streams holds by construction) plus the
-  /// per-stream breakdown in `streams`.
+  /// Service-wide gauges plus every stream's ledger in `streams`;
+  /// service-wide counters are ServiceStats::totals().
   [[nodiscard]] ServiceStats stats() const;
   /// One stream's counters; default-constructed stats for an unknown name.
   [[nodiscard]] StreamStats stream_stats(const std::string& stream) const;
@@ -162,11 +138,15 @@ class DataService {
   }
 
  private:
-  /// Two-level admission: reserve a per-stream pending slot (CAS against
-  /// the stream bound), false => per-stream shed.
-  static bool reserve_pending(Stream& stream);
-  /// High-water bookkeeping after a successful admission.
-  void note_admitted(Stream& stream);
+  /// The three StreamStats counters one user-plane op owns.
+  struct Ledger;
+  /// The one user-plane request path behind every submit() overload:
+  /// stream routing, two-level admission, timing, accounting and both shed
+  /// paths. `run` is the op body, executed on a worker against the stream's
+  /// current snapshot.
+  template <typename Response, typename Request, typename Run>
+  std::future<Response> submit_to_stream(Request request, Ledger ledger,
+                                         Run run);
   /// The fig16 policy gate, evaluated after an answered label request.
   void maybe_auto_retrain(const std::shared_ptr<Stream>& stream,
                           const Tensor& xs);

@@ -70,9 +70,7 @@ enum class ServeStatus : std::uint8_t {
 }
 
 /// Name every user-plane request routes by when it leaves the `stream`
-/// field empty — the single stream the legacy one-stream constructor
-/// registers, and the stream v1 wire peers (whose frames carry no stream
-/// id at all) are mapped to.
+/// field empty — what single-tenant callers register their one stream as.
 inline constexpr const char* kDefaultStreamName = "default";
 
 /// Per-sample label acquisition (the Fig. 9 reuse workload): reuse stored
@@ -135,10 +133,14 @@ struct RecommendResponse {
 };
 
 /// Per-stream serving counters (a snapshot copy; see DataService::stats).
-/// Every mutable ledger the service keeps is per-stream — the global
-/// aggregates in ServiceStats are computed by summation at read time, so
-/// the reconciliation invariant (global == sum over streams, per op, once
-/// idle) holds by construction and is pinned by tests/test_admission.
+/// Every mutable ledger the service keeps is per-stream; service-wide
+/// totals are folded from these at read time (ServiceStats::totals).
+///
+/// Admission accounting invariant (holds exactly once the service is idle;
+/// transiently `requests >= answered + shed` while requests are in
+/// flight): for each op type, `*_requests == *_answered + *_shed`. The
+/// `*_requests` counters count every submit() call that named this
+/// stream, accepted or not.
 struct StreamStats {
   std::string stream;  ///< registry name (never empty)
   std::uint64_t label_requests = 0;
@@ -158,10 +160,13 @@ struct StreamStats {
   std::uint64_t samples_labeled = 0;
   std::uint64_t labels_reused = 0;
   std::uint64_t labels_computed = 0;
-  double busy_seconds = 0.0;
-  double max_request_seconds = 0.0;
-  std::uint64_t retrain_checks = 0;
-  std::uint64_t retrains = 0;
+  double busy_seconds = 0.0;         ///< summed request execution time
+  double max_request_seconds = 0.0;  ///< slowest single request
+  std::uint64_t retrain_checks = 0;  ///< system-plane certainty evaluations
+  std::uint64_t retrains = 0;        ///< checks that triggered a retrain
+  /// request_retrain calls dropped into an already in-flight check — the
+  /// system plane's admission control, surfaced so a retrain storm is
+  /// visible in the stats instead of silent.
   std::uint64_t retrains_coalesced = 0;
   /// Retrain attempts rejected by the service-wide concurrent-retrain cap
   /// (DataServiceConfig::max_concurrent_retrains) — the stream keeps
@@ -174,59 +179,35 @@ struct StreamStats {
   std::uint64_t store_shards = 0;      ///< this stream's collection shards
 };
 
-/// Aggregate serving counters (a snapshot copy; see DataService::stats).
-///
-/// Admission accounting invariant (holds exactly once the service is idle;
-/// transiently `submitted >= answered + shed` while requests are in
-/// flight): for each op type, `*_requests == *_answered + *_shed`. The
-/// `*_requests` counters count every submit() call, accepted or not.
-/// Every per-op / retrain / labeling counter equals the sum of the same
-/// counter across `streams`; `unknown_stream_requests` is global-only
-/// (a request that named no stream belongs to none of them).
+/// Service-wide serving state (a snapshot copy; see DataService::stats):
+/// the few gauges no stream owns, plus the per-stream ledgers. Nothing here
+/// repeats a per-stream counter — service-wide counts come from totals().
 struct ServiceStats {
-  std::uint64_t label_requests = 0;
-  std::uint64_t lookup_requests = 0;
-  std::uint64_t recommend_requests = 0;
-  // Per-op admission outcomes (the load-shedding ledger).
-  std::uint64_t label_answered = 0;
-  std::uint64_t lookup_answered = 0;
-  std::uint64_t recommend_answered = 0;
-  std::uint64_t label_shed = 0;
-  std::uint64_t lookup_shed = 0;
-  std::uint64_t recommend_shed = 0;
-  // Pending-queue gauges: requests admitted but not yet picked up by a
-  // worker. `queue_depth` is a point-in-time read; `max_queue_depth` is a
-  // high-water mark sampled at each admission, so it never exceeds the
-  // configured `max_pending` (when bounded).
+  // Pending-queue gauges over the shared worker pool: requests admitted
+  // but not yet picked up by a worker. `queue_depth` is a point-in-time
+  // read; `max_queue_depth` is a high-water mark sampled at each admission,
+  // so it never exceeds the configured `max_pending` (when bounded).
   std::uint64_t queue_depth = 0;
   std::uint64_t max_queue_depth = 0;
   std::uint64_t max_pending = 0;  ///< configured bound (0 = unbounded)
-  std::uint64_t samples_labeled = 0;
-  std::uint64_t labels_reused = 0;
-  std::uint64_t labels_computed = 0;
-  double busy_seconds = 0.0;         ///< summed request execution time
-  double max_request_seconds = 0.0;  ///< slowest single request
-  std::uint64_t retrain_checks = 0;  ///< system-plane certainty evaluations
-  std::uint64_t retrains = 0;        ///< checks that triggered a retrain
-  /// request_retrain calls dropped into an already in-flight check — the
-  /// system plane's (pre-existing) admission control, surfaced so a
-  /// retrain storm is visible in the stats instead of silent.
-  std::uint64_t retrains_coalesced = 0;
-  std::uint64_t retrains_capped = 0;        ///< sum of per-stream cap hits
-  std::uint64_t policy_cooldown_skips = 0;  ///< sum over streams
   /// submit()/request_retrain calls naming a stream the registry does not
-  /// know. Answered with ServeStatus::kUnknownStream, attributed to no
-  /// stream (so global per-op ledgers still reconcile with the sums).
+  /// know. Answered with ServeStatus::kUnknownStream and attributed to no
+  /// stream.
   std::uint64_t unknown_stream_requests = 0;
-  std::uint64_t store_shards = 0;    ///< default stream's shard count
   // fairMS model-plane cache counters (all zero without a ModelManager).
   std::uint64_t model_cache_hits = 0;
   std::uint64_t model_cache_misses = 0;
   std::uint64_t model_cache_evictions = 0;
   std::uint64_t model_cache_bytes = 0;  ///< resident bytes right now
-  /// Per-stream breakdown, sorted by stream name. Wire protocol v1 peers
-  /// receive the global aggregates only; v2 carries the full vector.
+  /// Per-stream breakdown, sorted by stream name.
   std::vector<StreamStats> streams;
+
+  /// Service-wide counters: every per-stream ledger counter summed over
+  /// `streams` (`max_request_seconds` is the maximum). The per-stream
+  /// gauges (queue depths, bounds, snapshot version, shards) have no
+  /// service-wide sum and stay zero, as does `stream`; the service-wide
+  /// gauges are the fields above.
+  [[nodiscard]] StreamStats totals() const;
 };
 
 }  // namespace fairdms::service

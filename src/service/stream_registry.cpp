@@ -38,6 +38,33 @@ StreamStats Stream::stats() const {
   return out;
 }
 
+StreamStats ServiceStats::totals() const {
+  StreamStats out;
+  for (const StreamStats& s : streams) {
+    out.label_requests += s.label_requests;
+    out.lookup_requests += s.lookup_requests;
+    out.recommend_requests += s.recommend_requests;
+    out.label_answered += s.label_answered;
+    out.lookup_answered += s.lookup_answered;
+    out.recommend_answered += s.recommend_answered;
+    out.label_shed += s.label_shed;
+    out.lookup_shed += s.lookup_shed;
+    out.recommend_shed += s.recommend_shed;
+    out.samples_labeled += s.samples_labeled;
+    out.labels_reused += s.labels_reused;
+    out.labels_computed += s.labels_computed;
+    out.busy_seconds += s.busy_seconds;
+    out.max_request_seconds =
+        std::max(out.max_request_seconds, s.max_request_seconds);
+    out.retrain_checks += s.retrain_checks;
+    out.retrains += s.retrains;
+    out.retrains_coalesced += s.retrains_coalesced;
+    out.retrains_capped += s.retrains_capped;
+    out.policy_cooldown_skips += s.policy_cooldown_skips;
+  }
+  return out;
+}
+
 StreamRegistry::StreamRegistry() {
   map_.store(std::make_shared<const Map>(), std::memory_order_release);
 }

@@ -12,9 +12,8 @@
 // route from a request's stream id to its snapshot is lock-free, while
 // registration (rare, operator-plane) serializes on a mutex.
 //
-// Lifetime: like the single-stream DataService before it, the registry
-// borrows the FairDS and ModelManager — the caller keeps them alive for
-// the service's lifetime. Streams are never removed (an experiment that
+// Lifetime: the registry borrows the FairDS and ModelManager — the caller
+// keeps them alive for the service's lifetime. Streams are never removed (an experiment that
 // ends simply stops sending), so a shared_ptr<Stream> captured by an
 // in-flight task stays valid without further ceremony.
 #pragma once
@@ -52,8 +51,7 @@ struct RetrainPolicy {
   std::size_t min_new_samples = 0;
 };
 
-/// Per-stream registration knobs (the per-tenant analogue of the legacy
-/// single-stream fields in DataServiceConfig).
+/// Per-stream registration knobs.
 struct StreamConfig {
   RetrainPolicy retrain;
   /// Per-stream admission bound: requests admitted to this stream but not
@@ -61,11 +59,16 @@ struct StreamConfig {
   /// stream sheds its own requests without consuming service-wide queue
   /// slots other tenants could use.
   std::size_t max_pending = 0;
-  /// Declared shard count / storage engine / cache budget, checked (or
-  /// applied) at registration exactly like the legacy DataServiceConfig
-  /// fields; see those for semantics.
+  /// Declared shard count of the stream's sample collection; 0 => don't
+  /// care. Checked at registration against the FairDS's actual collection,
+  /// failing loudly when a deployment assumed ingest parallelism the store
+  /// was not built with.
   std::size_t store_shards = 0;
+  /// Declared storage engine of the collection ("mem" | "log"); empty =>
+  /// don't care. Checked like store_shards.
   std::string storage_engine = "";
+  /// Re-budgets the stream's model-plane cache at registration (requires a
+  /// ModelManager). 0 => leave the zoo's budget as configured.
   std::size_t model_cache_bytes = 0;
 };
 
@@ -126,8 +129,7 @@ class StreamRegistry {
            const fairms::ModelManager* manager);
 
   /// Lock-free route from a request's stream id to its stream. Empty
-  /// `name` is the v1-compat alias for kDefaultStreamName. nullptr when
-  /// unknown.
+  /// `name` is the alias for kDefaultStreamName. nullptr when unknown.
   [[nodiscard]] std::shared_ptr<Stream> find(const std::string& name) const;
 
   /// All streams, sorted by name (the order stats vectors report in).

@@ -7,6 +7,7 @@
 // job and the Release `--repeat until-fail:3` stress step cover it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -165,7 +166,8 @@ class AdmissionFixture : public ::testing::Test {
 };
 
 TEST_F(AdmissionFixture, SaturatedQueueShedsWithDocumentedStatus) {
-  service::DataService service(*ds_, {.workers = 1, .max_pending = 1});
+  service::DataService service({.workers = 1, .max_pending = 1});
+  ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, *ds_));
   WorkerGate gate;
   // Occupant: threshold -1 routes every sample to the blocking labeler.
   auto occupant = service.submit(
@@ -195,16 +197,18 @@ TEST_F(AdmissionFixture, SaturatedQueueShedsWithDocumentedStatus) {
   service.wait_idle();
 
   const auto stats = service.stats();
-  EXPECT_EQ(stats.label_requests, 3u);
-  EXPECT_EQ(stats.label_answered, 2u);
-  EXPECT_EQ(stats.label_shed, 1u);
+  const auto totals = stats.totals();
+  EXPECT_EQ(totals.label_requests, 3u);
+  EXPECT_EQ(totals.label_answered, 2u);
+  EXPECT_EQ(totals.label_shed, 1u);
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_EQ(stats.max_pending, 1u);
   EXPECT_LE(stats.max_queue_depth, 1u);
 }
 
 TEST_F(AdmissionFixture, ShedNeverBlocksSubmitters) {
-  service::DataService service(*ds_, {.workers = 1, .max_pending = 1});
+  service::DataService service({.workers = 1, .max_pending = 1});
+  ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, *ds_));
   WorkerGate gate;
   auto occupant = service.submit(
       service::LabelRequest{query_.xs, -1.0, gated_labeler(gate)});
@@ -228,67 +232,84 @@ TEST_F(AdmissionFixture, ShedNeverBlocksSubmitters) {
   (void)occupant.get();
   (void)queued.get();
   service.wait_idle();
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.label_requests, 18u);
-  EXPECT_EQ(stats.label_answered, 2u);
-  EXPECT_EQ(stats.label_shed, 16u);
+  const auto totals = service.stats().totals();
+  EXPECT_EQ(totals.label_requests, 18u);
+  EXPECT_EQ(totals.label_answered, 2u);
+  EXPECT_EQ(totals.label_shed, 16u);
 }
 
 TEST_F(AdmissionFixture, AllOpTypesShedAndReconcile) {
   fairms::ModelZoo zoo(db_);
   zoo.publish("braggnn", "m0", ds_->distribution(history_.xs), {1, 2, 3});
   fairms::ModelManager manager(zoo, 1.0);
-  service::DataService service(*ds_, {.workers = 1, .max_pending = 1},
-                               &manager);
-  WorkerGate gate;
-  auto occupant = service.submit(
-      service::LabelRequest{query_.xs, -1.0, gated_labeler(gate)});
-  gate.wait_entered();
-  auto queued = service.submit(
-      service::LabelRequest{query_.xs, 1e9, fast_labeler()});
+  // The same scenario against each admission bound: the service-wide queue
+  // (the pool rejects) and the stream's own bound (the stream rejects
+  // before the pool is asked). Every op must shed through both.
+  for (const bool per_stream : {false, true}) {
+    SCOPED_TRACE(per_stream ? "StreamConfig::max_pending = 1"
+                            : "DataServiceConfig::max_pending = 1");
+    service::DataService service(
+        {.workers = 1, .max_pending = per_stream ? 0u : 1u});
+    service::StreamConfig stream;
+    stream.max_pending = per_stream ? 1 : 0;
+    ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, *ds_, stream,
+                                   &manager));
+    WorkerGate gate;
+    auto occupant = service.submit(
+        service::LabelRequest{query_.xs, -1.0, gated_labeler(gate)});
+    gate.wait_entered();
+    auto queued = service.submit(
+        service::LabelRequest{query_.xs, 1e9, fast_labeler()});
 
-  auto shed_lookup = service.submit(service::LookupRequest{query_.xs, 5});
-  ASSERT_EQ(shed_lookup.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(shed_lookup.get().status, service::ServeStatus::kShedOverload);
+    auto shed_lookup = service.submit(service::LookupRequest{query_.xs, 5});
+    ASSERT_EQ(shed_lookup.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(shed_lookup.get().status, service::ServeStatus::kShedOverload);
 
-  auto shed_recommend =
-      service.submit(service::RecommendRequest{"braggnn", query_.xs});
-  ASSERT_EQ(shed_recommend.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  const auto recommend_response = shed_recommend.get();
-  EXPECT_EQ(recommend_response.status, service::ServeStatus::kShedOverload);
-  EXPECT_FALSE(recommend_response.pick.has_value());
+    auto shed_recommend =
+        service.submit(service::RecommendRequest{"braggnn", query_.xs});
+    ASSERT_EQ(shed_recommend.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const auto recommend_response = shed_recommend.get();
+    EXPECT_EQ(recommend_response.status, service::ServeStatus::kShedOverload);
+    EXPECT_FALSE(recommend_response.pick.has_value());
 
-  gate.open();
-  (void)occupant.get();
-  (void)queued.get();
-  service.wait_idle();
+    gate.open();
+    (void)occupant.get();
+    (void)queued.get();
+    service.wait_idle();
 
-  // After drain, an accepted lookup and recommend complete normally.
-  EXPECT_EQ(service.submit(service::LookupRequest{query_.xs, 5}).get().status,
-            service::ServeStatus::kOk);
-  EXPECT_EQ(service.submit(service::RecommendRequest{"braggnn", query_.xs})
-                .get()
-                .status,
-            service::ServeStatus::kOk);
-  service.wait_idle();
+    // After drain, an accepted lookup and recommend complete normally.
+    EXPECT_EQ(
+        service.submit(service::LookupRequest{query_.xs, 5}).get().status,
+        service::ServeStatus::kOk);
+    EXPECT_EQ(service.submit(service::RecommendRequest{"braggnn", query_.xs})
+                  .get()
+                  .status,
+              service::ServeStatus::kOk);
+    service.wait_idle();
 
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.label_requests, stats.label_answered + stats.label_shed);
-  EXPECT_EQ(stats.lookup_requests,
-            stats.lookup_answered + stats.lookup_shed);
-  EXPECT_EQ(stats.recommend_requests,
-            stats.recommend_answered + stats.recommend_shed);
-  EXPECT_EQ(stats.lookup_shed, 1u);
-  EXPECT_EQ(stats.lookup_answered, 1u);
-  EXPECT_EQ(stats.recommend_shed, 1u);
-  EXPECT_EQ(stats.recommend_answered, 1u);
-  EXPECT_EQ(stats.queue_depth, 0u);
+    const auto stats = service.stats();
+    const auto totals = stats.totals();
+    EXPECT_EQ(totals.label_requests,
+              totals.label_answered + totals.label_shed);
+    EXPECT_EQ(totals.lookup_requests,
+              totals.lookup_answered + totals.lookup_shed);
+    EXPECT_EQ(totals.recommend_requests,
+              totals.recommend_answered + totals.recommend_shed);
+    EXPECT_EQ(totals.lookup_shed, 1u);
+    EXPECT_EQ(totals.lookup_answered, 1u);
+    EXPECT_EQ(totals.recommend_shed, 1u);
+    EXPECT_EQ(totals.recommend_answered, 1u);
+    EXPECT_EQ(stats.queue_depth, 0u);
+    ASSERT_EQ(stats.streams.size(), 1u);
+    EXPECT_EQ(stats.streams[0].queue_depth, 0u);
+  }
 }
 
 TEST_F(AdmissionFixture, QueueDrainsFullyAfterBurst) {
-  service::DataService service(*ds_, {.workers = 2, .max_pending = 4});
+  service::DataService service({.workers = 2, .max_pending = 4});
+  ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, *ds_));
   // Open-loop burst far above capacity: outcomes depend on scheduling, but
   // the ledger must reconcile exactly and the queue must drain to zero.
   constexpr int kBurst = 64;
@@ -313,9 +334,10 @@ TEST_F(AdmissionFixture, QueueDrainsFullyAfterBurst) {
   EXPECT_EQ(ok + shed, static_cast<std::size_t>(kBurst));
   EXPECT_GT(ok, 0u);  // admitted work always completes
   const auto stats = service.stats();
-  EXPECT_EQ(stats.label_requests, static_cast<std::uint64_t>(kBurst));
-  EXPECT_EQ(stats.label_answered, ok);
-  EXPECT_EQ(stats.label_shed, shed);
+  const auto totals = stats.totals();
+  EXPECT_EQ(totals.label_requests, static_cast<std::uint64_t>(kBurst));
+  EXPECT_EQ(totals.label_answered, ok);
+  EXPECT_EQ(totals.label_shed, shed);
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_LE(stats.max_queue_depth, 4u);
 
@@ -328,7 +350,8 @@ TEST_F(AdmissionFixture, QueueDrainsFullyAfterBurst) {
 }
 
 TEST_F(AdmissionFixture, UnboundedConfigNeverSheds) {
-  service::DataService service(*ds_, {.workers = 1, .max_pending = 0});
+  service::DataService service({.workers = 1, .max_pending = 0});
+  ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, *ds_));
   std::vector<std::future<service::LabelResponse>> futures;
   for (int i = 0; i < 32; ++i) {
     futures.push_back(service.submit(
@@ -339,8 +362,8 @@ TEST_F(AdmissionFixture, UnboundedConfigNeverSheds) {
   }
   service.wait_idle();
   const auto stats = service.stats();
-  EXPECT_EQ(stats.label_shed, 0u);
-  EXPECT_EQ(stats.label_answered, 32u);
+  EXPECT_EQ(stats.totals().label_shed, 0u);
+  EXPECT_EQ(stats.totals().label_answered, 32u);
   EXPECT_EQ(stats.max_pending, 0u);
 }
 
@@ -351,24 +374,25 @@ TEST_F(AdmissionFixture, RetrainCoalescingIsCounted) {
   fairds::FairDS ds(config, db);
   ds.train_system(history_.xs);
   ds.ingest(history_.xs, history_.ys, "h");
-  service::DataService service(ds, {.workers = 1});
+  service::DataService service({.workers = 1});
+  ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, ds));
 
   const nn::Batchset probe = regime_data(1.5, 48, 503);
   ASSERT_TRUE(service.request_retrain(probe.xs));
   const bool second = service.request_retrain(probe.xs);
   service.wait_idle();
-  const auto stats = service.stats();
+  const auto stats = service.stats().totals();
   // Whichever way the race went, both calls are accounted for: each either
   // ran a check or was coalesced into the in-flight one.
   EXPECT_EQ(stats.retrain_checks + stats.retrains_coalesced, 2u);
   if (!second) EXPECT_EQ(stats.retrains_coalesced, 1u);
 }
 
-// The multi-stream reconciliation invariant: every global aggregate in
-// ServiceStats equals the sum of the corresponding per-stream ledger —
-// including after a mixed outcome (one tenant shedding on its own bound,
-// the other answering, retrain activity on both planes). A drifting global
-// counter here would mean some path updated one ledger but not the other.
+// The multi-stream ledger invariants after a mixed outcome (one tenant
+// shedding on its own bound, the other answering, retrain activity on both
+// planes): every stream's per-op ledger balances, and totals() is exactly
+// the hand-summed per-stream ledgers. A drifting total here would mean the
+// fold skipped or double-counted a counter.
 TEST_F(AdmissionFixture, GlobalStatsReconcileWithPerStreamLedgers) {
   auto config_b = small_config();
   config_b.seed = 78;
@@ -408,6 +432,11 @@ TEST_F(AdmissionFixture, GlobalStatsReconcileWithPerStreamLedgers) {
   ASSERT_EQ(stats.streams.size(), 2u);
   service::StreamStats sum;
   for (const auto& s : stats.streams) {
+    SCOPED_TRACE(s.stream);
+    EXPECT_EQ(s.label_requests, s.label_answered + s.label_shed);
+    EXPECT_EQ(s.lookup_requests, s.lookup_answered + s.lookup_shed);
+    EXPECT_EQ(s.recommend_requests, s.recommend_answered + s.recommend_shed);
+    EXPECT_EQ(s.queue_depth, 0u);
     sum.label_requests += s.label_requests;
     sum.label_answered += s.label_answered;
     sum.label_shed += s.label_shed;
@@ -420,35 +449,42 @@ TEST_F(AdmissionFixture, GlobalStatsReconcileWithPerStreamLedgers) {
     sum.samples_labeled += s.samples_labeled;
     sum.labels_reused += s.labels_reused;
     sum.labels_computed += s.labels_computed;
+    sum.busy_seconds += s.busy_seconds;
+    sum.max_request_seconds =
+        std::max(sum.max_request_seconds, s.max_request_seconds);
     sum.retrain_checks += s.retrain_checks;
     sum.retrains += s.retrains;
     sum.retrains_coalesced += s.retrains_coalesced;
     sum.retrains_capped += s.retrains_capped;
     sum.policy_cooldown_skips += s.policy_cooldown_skips;
   }
-  EXPECT_EQ(stats.label_requests, sum.label_requests);
-  EXPECT_EQ(stats.label_answered, sum.label_answered);
-  EXPECT_EQ(stats.label_shed, sum.label_shed);
-  EXPECT_EQ(stats.lookup_requests, sum.lookup_requests);
-  EXPECT_EQ(stats.lookup_answered, sum.lookup_answered);
-  EXPECT_EQ(stats.lookup_shed, sum.lookup_shed);
-  EXPECT_EQ(stats.recommend_requests, sum.recommend_requests);
-  EXPECT_EQ(stats.recommend_answered, sum.recommend_answered);
-  EXPECT_EQ(stats.recommend_shed, sum.recommend_shed);
-  EXPECT_EQ(stats.samples_labeled, sum.samples_labeled);
-  EXPECT_EQ(stats.labels_reused, sum.labels_reused);
-  EXPECT_EQ(stats.labels_computed, sum.labels_computed);
-  EXPECT_EQ(stats.retrain_checks, sum.retrain_checks);
-  EXPECT_EQ(stats.retrains, sum.retrains);
-  EXPECT_EQ(stats.retrains_coalesced, sum.retrains_coalesced);
-  EXPECT_EQ(stats.retrains_capped, sum.retrains_capped);
-  EXPECT_EQ(stats.policy_cooldown_skips, sum.policy_cooldown_skips);
+  const auto totals = stats.totals();
+  EXPECT_EQ(totals.label_requests, sum.label_requests);
+  EXPECT_EQ(totals.label_answered, sum.label_answered);
+  EXPECT_EQ(totals.label_shed, sum.label_shed);
+  EXPECT_EQ(totals.lookup_requests, sum.lookup_requests);
+  EXPECT_EQ(totals.lookup_answered, sum.lookup_answered);
+  EXPECT_EQ(totals.lookup_shed, sum.lookup_shed);
+  EXPECT_EQ(totals.recommend_requests, sum.recommend_requests);
+  EXPECT_EQ(totals.recommend_answered, sum.recommend_answered);
+  EXPECT_EQ(totals.recommend_shed, sum.recommend_shed);
+  EXPECT_EQ(totals.samples_labeled, sum.samples_labeled);
+  EXPECT_EQ(totals.labels_reused, sum.labels_reused);
+  EXPECT_EQ(totals.labels_computed, sum.labels_computed);
+  EXPECT_EQ(totals.busy_seconds, sum.busy_seconds);
+  EXPECT_EQ(totals.max_request_seconds, sum.max_request_seconds);
+  EXPECT_EQ(totals.retrain_checks, sum.retrain_checks);
+  EXPECT_EQ(totals.retrains, sum.retrains);
+  EXPECT_EQ(totals.retrains_coalesced, sum.retrains_coalesced);
+  EXPECT_EQ(totals.retrains_capped, sum.retrains_capped);
+  EXPECT_EQ(totals.policy_cooldown_skips, sum.policy_cooldown_skips);
 
   // And the scenario actually exercised both sides of the ledger.
-  EXPECT_EQ(stats.label_requests, 5u);
-  EXPECT_GE(stats.label_shed, 1u);
-  EXPECT_EQ(stats.lookup_answered, 1u);
-  EXPECT_EQ(stats.retrain_checks, 1u);
+  EXPECT_EQ(totals.label_requests, 5u);
+  EXPECT_GE(totals.label_shed, 1u);
+  EXPECT_EQ(totals.lookup_answered, 1u);
+  EXPECT_EQ(totals.retrain_checks, 1u);
+  EXPECT_GT(totals.busy_seconds, 0.0);
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 

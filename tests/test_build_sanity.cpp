@@ -94,9 +94,10 @@ TEST(BuildSanity, ServiceModuleLinks) {
   fairdms::store::DocStore db;
   fairdms::fairds::FairDS ds({}, db);
   fairdms::service::DataService service(
-      ds, fairdms::service::DataServiceConfig{.workers = 1});
+      fairdms::service::DataServiceConfig{.workers = 1});
+  EXPECT_TRUE(service.add_stream(fairdms::service::kDefaultStreamName, ds));
   EXPECT_EQ(service.worker_count(), 1u);
-  EXPECT_EQ(service.stats().label_requests, 0u);
+  EXPECT_EQ(service.stats().totals().label_requests, 0u);
 }
 
 TEST(BuildSanity, StoreModuleLinks) {

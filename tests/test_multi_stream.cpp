@@ -175,20 +175,14 @@ TEST_F(MultiStreamFixture, ConcurrentTenantsStayIsolatedUnderLoad) {
 
   const auto stats = service.stats();
   ASSERT_EQ(stats.streams.size(), kStreams);
-  std::uint64_t sum_label = 0, sum_lookup = 0, sum_checks = 0;
   for (const auto& s : stats.streams) {
     EXPECT_EQ(s.label_requests, static_cast<std::uint64_t>(kRounds));
     EXPECT_EQ(s.label_requests, s.label_answered + s.label_shed);
     EXPECT_EQ(s.lookup_requests, s.lookup_answered + s.lookup_shed);
     // r == 2 forced one retrain per stream; threshold > 1 made it train.
     EXPECT_GE(s.retrains, 1u);
-    sum_label += s.label_requests;
-    sum_lookup += s.lookup_requests;
-    sum_checks += s.retrain_checks;
+    EXPECT_EQ(s.queue_depth, 0u);
   }
-  EXPECT_EQ(stats.label_requests, sum_label);
-  EXPECT_EQ(stats.lookup_requests, sum_lookup);
-  EXPECT_EQ(stats.retrain_checks, sum_checks);
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 
@@ -250,7 +244,6 @@ TEST_F(MultiStreamFixture, PerStreamBoundShedsOnlyTheSaturatedTenant) {
   EXPECT_EQ(s1.label_requests, 1u);
   EXPECT_EQ(s1.label_answered, 1u);
   EXPECT_EQ(s1.label_shed, 0u);
-  EXPECT_EQ(stats.label_shed, s0.label_shed + s1.label_shed);
 }
 
 // An unregistered stream id gets an immediately-ready structured answer on
@@ -276,15 +269,12 @@ TEST_F(MultiStreamFixture, UnknownStreamIsAStructuredAnswerNotAnAbort) {
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.unknown_stream_requests, 4u);
-  // Unknown requests belong to no stream: the per-op ledgers still
-  // reconcile with the per-stream sums.
-  std::uint64_t sum_requests = 0;
-  for (const auto& s : stats.streams) {
-    sum_requests += s.label_requests + s.lookup_requests +
-                    s.recommend_requests;
-  }
-  EXPECT_EQ(sum_requests, stats.label_requests + stats.lookup_requests +
-                              stats.recommend_requests);
+  // Unknown requests belong to no stream: no stream's ledger counted them.
+  const auto totals = stats.totals();
+  EXPECT_EQ(totals.label_requests + totals.lookup_requests +
+                totals.recommend_requests + totals.retrain_checks +
+                totals.retrains_coalesced,
+            0u);
 
   auto ok = service.submit(
       service::LabelRequest{query.xs, 1e9, fast_labeler(), name(1)});

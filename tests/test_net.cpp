@@ -11,11 +11,13 @@
 // Carries the `service` label: the TSan CI job and the Release
 // `--repeat until-fail:3` stress step run exactly this kind of suite.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,53 +167,82 @@ TEST(WireCodec, RandomizedDtoRoundTrips) {
   }
 }
 
-TEST(WireCodec, StatsResponseRoundTripsEveryField) {
-  util::Rng rng(9);
+/// A stats body with every field distinct (so a swapped field pair in
+/// either codec half cannot cancel out) and two stream blocks.
+service::ServiceStats distinct_stats() {
   service::ServiceStats s;
-  // Fill every counter with a distinct value so a swapped field pair in
-  // either codec half cannot cancel out.
   std::uint64_t next = 1000;
   for (std::uint64_t* field :
-       {&s.label_requests, &s.lookup_requests, &s.recommend_requests,
-        &s.label_answered, &s.lookup_answered, &s.recommend_answered,
-        &s.label_shed, &s.lookup_shed, &s.recommend_shed, &s.queue_depth,
-        &s.max_queue_depth, &s.max_pending, &s.samples_labeled,
-        &s.labels_reused, &s.labels_computed, &s.retrain_checks, &s.retrains,
-        &s.retrains_coalesced, &s.store_shards, &s.model_cache_hits,
+       {&s.queue_depth, &s.max_queue_depth, &s.max_pending,
+        &s.unknown_stream_requests, &s.model_cache_hits,
         &s.model_cache_misses, &s.model_cache_evictions,
         &s.model_cache_bytes}) {
     *field = next++;
   }
-  s.busy_seconds = rng.uniform(0.0, 100.0);
-  s.max_request_seconds = rng.uniform(0.0, 10.0);
+  for (const char* name : {"bragg", "cookiebox"}) {
+    service::StreamStats ss;
+    ss.stream = name;
+    for (std::uint64_t* field :
+         {&ss.label_requests, &ss.lookup_requests, &ss.recommend_requests,
+          &ss.label_answered, &ss.lookup_answered, &ss.recommend_answered,
+          &ss.label_shed, &ss.lookup_shed, &ss.recommend_shed,
+          &ss.queue_depth, &ss.max_queue_depth, &ss.max_pending,
+          &ss.samples_labeled, &ss.labels_reused, &ss.labels_computed,
+          &ss.retrain_checks, &ss.retrains, &ss.retrains_coalesced,
+          &ss.retrains_capped, &ss.policy_cooldown_skips,
+          &ss.snapshot_version, &ss.store_shards}) {
+      *field = next++;
+    }
+    ss.busy_seconds = static_cast<double>(next++) + 0.5;
+    ss.max_request_seconds = static_cast<double>(next++) + 0.25;
+    s.streams.push_back(std::move(ss));
+  }
+  return s;
+}
 
+TEST(WireCodec, StatsResponseRoundTripsEveryField) {
+  const service::ServiceStats s = distinct_stats();
   service::ServiceStats s2;
   ASSERT_TRUE(net::decode_stats_response(net::encode_stats_response(s), &s2));
-  EXPECT_EQ(s.label_requests, s2.label_requests);
-  EXPECT_EQ(s.lookup_requests, s2.lookup_requests);
-  EXPECT_EQ(s.recommend_requests, s2.recommend_requests);
-  EXPECT_EQ(s.label_answered, s2.label_answered);
-  EXPECT_EQ(s.lookup_answered, s2.lookup_answered);
-  EXPECT_EQ(s.recommend_answered, s2.recommend_answered);
-  EXPECT_EQ(s.label_shed, s2.label_shed);
-  EXPECT_EQ(s.lookup_shed, s2.lookup_shed);
-  EXPECT_EQ(s.recommend_shed, s2.recommend_shed);
   EXPECT_EQ(s.queue_depth, s2.queue_depth);
   EXPECT_EQ(s.max_queue_depth, s2.max_queue_depth);
   EXPECT_EQ(s.max_pending, s2.max_pending);
-  EXPECT_EQ(s.samples_labeled, s2.samples_labeled);
-  EXPECT_EQ(s.labels_reused, s2.labels_reused);
-  EXPECT_EQ(s.labels_computed, s2.labels_computed);
-  EXPECT_EQ(s.busy_seconds, s2.busy_seconds);
-  EXPECT_EQ(s.max_request_seconds, s2.max_request_seconds);
-  EXPECT_EQ(s.retrain_checks, s2.retrain_checks);
-  EXPECT_EQ(s.retrains, s2.retrains);
-  EXPECT_EQ(s.retrains_coalesced, s2.retrains_coalesced);
-  EXPECT_EQ(s.store_shards, s2.store_shards);
+  EXPECT_EQ(s.unknown_stream_requests, s2.unknown_stream_requests);
   EXPECT_EQ(s.model_cache_hits, s2.model_cache_hits);
   EXPECT_EQ(s.model_cache_misses, s2.model_cache_misses);
   EXPECT_EQ(s.model_cache_evictions, s2.model_cache_evictions);
   EXPECT_EQ(s.model_cache_bytes, s2.model_cache_bytes);
+  ASSERT_EQ(s2.streams.size(), s.streams.size());
+  for (std::size_t i = 0; i < s.streams.size(); ++i) {
+    const service::StreamStats& a = s.streams[i];
+    const service::StreamStats& b = s2.streams[i];
+    SCOPED_TRACE(a.stream);
+    EXPECT_EQ(a.stream, b.stream);
+    EXPECT_EQ(a.label_requests, b.label_requests);
+    EXPECT_EQ(a.lookup_requests, b.lookup_requests);
+    EXPECT_EQ(a.recommend_requests, b.recommend_requests);
+    EXPECT_EQ(a.label_answered, b.label_answered);
+    EXPECT_EQ(a.lookup_answered, b.lookup_answered);
+    EXPECT_EQ(a.recommend_answered, b.recommend_answered);
+    EXPECT_EQ(a.label_shed, b.label_shed);
+    EXPECT_EQ(a.lookup_shed, b.lookup_shed);
+    EXPECT_EQ(a.recommend_shed, b.recommend_shed);
+    EXPECT_EQ(a.queue_depth, b.queue_depth);
+    EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
+    EXPECT_EQ(a.max_pending, b.max_pending);
+    EXPECT_EQ(a.samples_labeled, b.samples_labeled);
+    EXPECT_EQ(a.labels_reused, b.labels_reused);
+    EXPECT_EQ(a.labels_computed, b.labels_computed);
+    EXPECT_EQ(a.busy_seconds, b.busy_seconds);
+    EXPECT_EQ(a.max_request_seconds, b.max_request_seconds);
+    EXPECT_EQ(a.retrain_checks, b.retrain_checks);
+    EXPECT_EQ(a.retrains, b.retrains);
+    EXPECT_EQ(a.retrains_coalesced, b.retrains_coalesced);
+    EXPECT_EQ(a.retrains_capped, b.retrains_capped);
+    EXPECT_EQ(a.policy_cooldown_skips, b.policy_cooldown_skips);
+    EXPECT_EQ(a.snapshot_version, b.snapshot_version);
+    EXPECT_EQ(a.store_shards, b.store_shards);
+  }
 }
 
 TEST(WireCodec, FrameHeaderRoundTripAndRejection) {
@@ -282,44 +313,35 @@ TEST(WireCodec, TensorDecodeRejectsAbsurdShapes) {
   }
 }
 
-TEST(WireCodec, V2StreamFieldRoundTripsAndV1StaysByteIdentical) {
+TEST(WireCodec, RequestStreamFieldRoundTrips) {
   util::Rng rng(13);
-  service::LabelRequest req{random_tensor(rng, {3, 1, 15, 15}), 0.7, nullptr,
-                            "cookiebox"};
-
-  // v2 carries the stream id...
+  const service::LabelRequest req{random_tensor(rng, {3, 1, 15, 15}), 0.7,
+                                  nullptr, "cookiebox"};
   service::LabelRequest out;
-  ASSERT_TRUE(net::decode_label_request(net::encode_label_request(req, 2),
-                                        &out, 2));
+  ASSERT_TRUE(
+      net::decode_label_request(net::encode_label_request(req), &out));
   EXPECT_EQ(out.stream, "cookiebox");
 
-  // ...v1 encodes without it (and decodes to the default-stream alias), and
-  // the v1 body is a byte-identical prefix of the v2 body.
-  const net::Bytes v1 = net::encode_label_request(req, 1);
-  const net::Bytes v2 = net::encode_label_request(req, 2);
-  ASSERT_LT(v1.size(), v2.size());
-  EXPECT_EQ(0, std::memcmp(v1.data(), v2.data(), v1.size()));
-  ASSERT_TRUE(net::decode_label_request(v1, &out, 1));
-  EXPECT_TRUE(out.stream.empty());
-
-  // Version mismatches between codec halves are malformed, not misread:
-  // a v1 decoder must not accept the longer v2 body, and a v2 decoder must
-  // not accept the stream-less v1 body.
-  EXPECT_FALSE(net::decode_label_request(v2, &out, 1));
-  EXPECT_FALSE(net::decode_label_request(v1, &out, 2));
+  // The stream name is the payload's last field and is required: a body
+  // that stops before it is malformed, never silently routed to the
+  // default stream.
+  net::WireWriter stream_less;
+  stream_less.tensor(req.xs);
+  stream_less.f64(req.threshold);
+  EXPECT_FALSE(net::decode_label_request(stream_less.take(), &out));
 
   service::LookupRequest lookup{random_tensor(rng, {2, 1, 15, 15}), 9,
                                 "tomo"};
   service::LookupRequest lookup_out;
-  ASSERT_TRUE(net::decode_lookup_request(
-      net::encode_lookup_request(lookup, 2), &lookup_out, 2));
+  ASSERT_TRUE(net::decode_lookup_request(net::encode_lookup_request(lookup),
+                                         &lookup_out));
   EXPECT_EQ(lookup_out.stream, "tomo");
 
   service::RecommendRequest rec{"braggnn", random_tensor(rng, {2, 1, 15, 15}),
                                 "bragg"};
   service::RecommendRequest rec_out;
   ASSERT_TRUE(net::decode_recommend_request(
-      net::encode_recommend_request(rec, 2), &rec_out, 2));
+      net::encode_recommend_request(rec), &rec_out));
   EXPECT_EQ(rec_out.architecture, "braggnn");
   EXPECT_EQ(rec_out.stream, "bragg");
 
@@ -327,73 +349,35 @@ TEST(WireCodec, V2StreamFieldRoundTripsAndV1StaysByteIdentical) {
                                   "bragg"};
   service::RetrainRequest retrain_out;
   ASSERT_TRUE(net::decode_retrain_request(
-      net::encode_retrain_request(retrain, 2), &retrain_out, 2));
+      net::encode_retrain_request(retrain), &retrain_out));
   EXPECT_EQ(retrain_out.stream, "bragg");
 }
 
-TEST(WireCodec, StatsV2CarriesPerStreamBlocksV1AggregatesOnly) {
-  service::ServiceStats s;
-  s.label_requests = 10;
-  s.label_answered = 8;
-  s.label_shed = 2;
-  s.retrains_capped = 3;
-  s.policy_cooldown_skips = 4;
-  s.unknown_stream_requests = 5;
-  for (const char* name : {"bragg", "cookiebox"}) {
-    service::StreamStats ss;
-    ss.stream = name;
-    std::uint64_t next = name[0];  // distinct per stream and field
-    for (std::uint64_t* field :
-         {&ss.label_requests, &ss.lookup_requests, &ss.recommend_requests,
-          &ss.label_answered, &ss.lookup_answered, &ss.recommend_answered,
-          &ss.label_shed, &ss.lookup_shed, &ss.recommend_shed,
-          &ss.queue_depth, &ss.max_queue_depth, &ss.max_pending,
-          &ss.samples_labeled, &ss.labels_reused, &ss.labels_computed,
-          &ss.retrain_checks, &ss.retrains, &ss.retrains_coalesced,
-          &ss.retrains_capped, &ss.policy_cooldown_skips,
-          &ss.snapshot_version, &ss.store_shards}) {
-      *field = next++;
+TEST(WireCodec, StatsDecodeRejectsTruncationTrailingBytesAndBogusCounts) {
+  const net::Bytes good = net::encode_stats_response(distinct_stats());
+  service::ServiceStats out;
+  ASSERT_TRUE(net::decode_stats_response(good, &out));
+  // Every proper prefix is malformed (bounds-checked, never a crash).
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    EXPECT_FALSE(net::decode_stats_response(
+        std::span<const std::uint8_t>(good.data(), len), &out))
+        << "prefix length " << len;
+  }
+  net::Bytes trailing = good;
+  trailing.push_back(0);
+  EXPECT_FALSE(net::decode_stats_response(trailing, &out));
+
+  // The stream count follows the 8 u64 gauges. One block too many, and a
+  // count no payload could hold, are both malformed — the latter before
+  // anything is allocated for it.
+  constexpr std::size_t kCountOffset = 8 * 8;
+  for (const std::uint32_t count : {3u, 0xffffffffu}) {
+    net::Bytes bogus = good;
+    for (std::size_t i = 0; i < 4; ++i) {
+      bogus[kCountOffset + i] = static_cast<std::uint8_t>(count >> (8 * i));
     }
-    ss.busy_seconds = 1.5;
-    ss.max_request_seconds = 0.25;
-    s.streams.push_back(std::move(ss));
+    EXPECT_FALSE(net::decode_stats_response(bogus, &out)) << count;
   }
-
-  service::ServiceStats v2;
-  ASSERT_TRUE(net::decode_stats_response(net::encode_stats_response(s, 2),
-                                         &v2, 2));
-  EXPECT_EQ(v2.retrains_capped, 3u);
-  EXPECT_EQ(v2.policy_cooldown_skips, 4u);
-  EXPECT_EQ(v2.unknown_stream_requests, 5u);
-  ASSERT_EQ(v2.streams.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    const service::StreamStats& a = s.streams[i];
-    const service::StreamStats& b = v2.streams[i];
-    EXPECT_EQ(a.stream, b.stream);
-    EXPECT_EQ(a.label_requests, b.label_requests);
-    EXPECT_EQ(a.lookup_answered, b.lookup_answered);
-    EXPECT_EQ(a.recommend_shed, b.recommend_shed);
-    EXPECT_EQ(a.max_pending, b.max_pending);
-    EXPECT_EQ(a.labels_computed, b.labels_computed);
-    EXPECT_EQ(a.busy_seconds, b.busy_seconds);
-    EXPECT_EQ(a.max_request_seconds, b.max_request_seconds);
-    EXPECT_EQ(a.retrains_capped, b.retrains_capped);
-    EXPECT_EQ(a.policy_cooldown_skips, b.policy_cooldown_skips);
-    EXPECT_EQ(a.snapshot_version, b.snapshot_version);
-    EXPECT_EQ(a.store_shards, b.store_shards);
-  }
-
-  // A v1 peer gets the 25-field aggregate body: decodes cleanly, carries no
-  // per-stream blocks, and is a byte-identical prefix of the v2 body.
-  const net::Bytes v1_bytes = net::encode_stats_response(s, 1);
-  const net::Bytes v2_bytes = net::encode_stats_response(s, 2);
-  ASSERT_LT(v1_bytes.size(), v2_bytes.size());
-  EXPECT_EQ(0, std::memcmp(v1_bytes.data(), v2_bytes.data(), v1_bytes.size()));
-  service::ServiceStats v1_stats;
-  ASSERT_TRUE(net::decode_stats_response(v1_bytes, &v1_stats, 1));
-  EXPECT_EQ(v1_stats.label_requests, 10u);
-  EXPECT_TRUE(v1_stats.streams.empty());
-  EXPECT_EQ(v1_stats.unknown_stream_requests, 0u);
 }
 
 TEST(WireCodec, StatusAndOpNamesAreExhaustive) {
@@ -482,8 +466,9 @@ class NetFixture : public ::testing::Test {
   Served serve(service::DataServiceConfig config,
                std::function<Tensor(const Tensor&)> labeler = zero_labeler) {
     Served s;
-    s.service = std::make_unique<service::DataService>(*ds_, config,
-                                                       manager_.get());
+    s.service = std::make_unique<service::DataService>(config);
+    EXPECT_TRUE(s.service->add_stream(service::kDefaultStreamName, *ds_, {},
+                                      manager_.get()));
     net::ServerConfig server_config;
     server_config.max_payload = 1u << 20;
     server_config.fallback_labeler = std::move(labeler);
@@ -530,10 +515,13 @@ TEST_F(NetFixture, EndToEndRoundTripsMatchInProcessResults) {
 
   const auto stats = client.stats();
   ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->label_requests, 1u);
-  EXPECT_EQ(stats->lookup_requests, 1u);
-  EXPECT_EQ(stats->recommend_requests, 1u);
-  EXPECT_EQ(stats->label_answered, 1u);
+  ASSERT_EQ(stats->streams.size(), 1u);
+  EXPECT_EQ(stats->streams[0].stream, service::kDefaultStreamName);
+  const auto totals = stats->totals();
+  EXPECT_EQ(totals.label_requests, 1u);
+  EXPECT_EQ(totals.lookup_requests, 1u);
+  EXPECT_EQ(totals.recommend_requests, 1u);
+  EXPECT_EQ(totals.label_answered, 1u);
 
   // request_retrain over the wire: accepted, then observable in stats.
   const auto accepted = client.request_retrain(query.xs);
@@ -542,7 +530,7 @@ TEST_F(NetFixture, EndToEndRoundTripsMatchInProcessResults) {
   served.service->wait_idle();
   const auto stats2 = client.stats();
   ASSERT_TRUE(stats2.has_value());
-  EXPECT_EQ(stats2->retrain_checks, 1u);
+  EXPECT_EQ(stats2->totals().retrain_checks, 1u);
 
   const auto counters = served.server->counters();
   EXPECT_GE(counters.accepted_connections, 1u);
@@ -657,7 +645,7 @@ TEST_F(NetFixture, MalformedFramesAreAnsweredOrClosedNeverFatal) {
   const auto counters = served.server->counters();
   EXPECT_GE(counters.malformed_frames, 6u);
   // Nothing malformed ever reached the service.
-  const auto stats = served.service->stats();
+  const auto stats = served.service->stats().totals();
   EXPECT_EQ(stats.label_requests, 0u);
   EXPECT_EQ(stats.recommend_requests, 0u);
 }
@@ -710,7 +698,7 @@ TEST_F(NetFixture, AdmissionShedMapsToWireStatusInO1) {
               ok_cids.end());
 
   served.service->wait_idle();
-  const auto stats = served.service->stats();
+  const auto stats = served.service->stats().totals();
   EXPECT_EQ(stats.label_requests, 7u);
   EXPECT_EQ(stats.label_answered, 2u);
   EXPECT_EQ(stats.label_shed, 5u);
@@ -804,62 +792,73 @@ TEST_F(NetFixture, ConcurrentClientsStressTheFrontEnd) {
 
   served.service->wait_idle();
   const auto stats = served.service->stats();
-  EXPECT_EQ(stats.label_requests, stats.label_answered + stats.label_shed);
-  EXPECT_EQ(stats.lookup_requests,
-            stats.lookup_answered + stats.lookup_shed);
+  const auto totals = stats.totals();
+  EXPECT_EQ(totals.label_requests, totals.label_answered + totals.label_shed);
+  EXPECT_EQ(totals.lookup_requests,
+            totals.lookup_answered + totals.lookup_shed);
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 
-// --- protocol v2: version negotiation + stream routing ----------------------
+// --- one protocol version + stream routing ---------------------------------
 
-TEST_F(NetFixture, V1ClientInteroperatesWithV2Server) {
+/// Sends one frame stamped `version` on a fresh socket, as a peer built for
+/// that version would, and returns the reply header. Expects the server to
+/// close the connection right after it (EOF, not a reset or a stall).
+std::optional<net::FrameHeader> exchange_at_version(
+    std::uint16_t port, std::uint16_t version, net::Op op,
+    std::uint64_t correlation_id, const net::Bytes& payload) {
+  const net::UniqueFd fd(net::connect_to("127.0.0.1", port));
+  if (!fd.valid()) return std::nullopt;
+  net::Bytes frame =
+      net::encode_frame(op, service::ServeStatus::kOk, correlation_id,
+                        payload);
+  // Header offset 4: the little-endian u16 version (see net/wire.hpp).
+  frame[4] = static_cast<std::uint8_t>(version);
+  frame[5] = static_cast<std::uint8_t>(version >> 8);
+  if (!net::write_all(fd.get(), frame.data(), frame.size())) {
+    return std::nullopt;
+  }
+  std::uint8_t header[net::kHeaderSize];
+  if (!net::read_exact(fd.get(), header, sizeof(header))) return std::nullopt;
+  const auto decoded = net::decode_header(header);
+  std::uint8_t extra = 0;
+  EXPECT_EQ(::read(fd.get(), &extra, 1), 0) << "expected a clean close";
+  return decoded;
+}
+
+TEST_F(NetFixture, PreviousVersionPeerIsRefusedAndCurrentClientsServed) {
   auto served = serve({.workers = 2});
-  net::Client v1_client(/*version=*/1);
-  ASSERT_TRUE(v1_client.connect("127.0.0.1", served.server->port()));
-  // The hello ack is min(client, server): the server committed to v1.
-  EXPECT_EQ(v1_client.server_limits().version, 1u);
+  const std::uint16_t port = served.server->port();
+  constexpr std::uint16_t kOld = net::kProtocolVersion - 1;
 
-  // Every op round-trips in the v1 layout; stream-less frames route to the
-  // default stream, exactly like an in-process request with an empty id.
-  const nn::Batchset query = regime_data(0.0, 6, 401);
-  const auto label = v1_client.label({query.xs, 1e9, nullptr});
+  // The old peer's hello is refused, not downgraded.
+  const auto hello = exchange_at_version(port, kOld, net::Op::kHello, 41, {});
+  ASSERT_TRUE(hello.has_value());
+  EXPECT_EQ(hello->status, service::ServeStatus::kMalformedRequest);
+  EXPECT_EQ(hello->correlation_id, 41u);
+  EXPECT_EQ(hello->payload_len, 0u);
+
+  // So is a well-formed request it sends without a handshake.
+  const nn::Batchset query = regime_data(0.0, 4, 401);
+  const auto label = exchange_at_version(
+      port, kOld, net::Op::kLabel, 42,
+      net::encode_label_request({query.xs, 1e9, nullptr}));
   ASSERT_TRUE(label.has_value());
-  EXPECT_EQ(label->status, service::ServeStatus::kOk);
-  EXPECT_EQ(label->batch.ys.dim(0), query.xs.dim(0));
+  EXPECT_EQ(label->status, service::ServeStatus::kMalformedRequest);
+  EXPECT_EQ(label->correlation_id, 42u);
+  EXPECT_EQ(label->op, static_cast<std::uint8_t>(net::Op::kLabel));
 
-  const auto lookup = v1_client.lookup({query.xs, 5});
-  ASSERT_TRUE(lookup.has_value());
-  EXPECT_EQ(lookup->status, service::ServeStatus::kOk);
-
-  const auto recommend = v1_client.recommend({"braggnn", query.xs});
-  ASSERT_TRUE(recommend.has_value());
-  EXPECT_EQ(recommend->status, service::ServeStatus::kOk);
-
-  const auto accepted = v1_client.request_retrain(query.xs);
-  ASSERT_TRUE(accepted.has_value());
-  EXPECT_TRUE(*accepted);
-  served.service->wait_idle();
-
-  // The v1 stats body carries the aggregates only — and they reflect the
-  // work this client just did, proving the requests hit the real service.
-  const auto stats = v1_client.stats();
+  // Neither reached the service, and current-version clients are served.
+  net::Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", port));
+  EXPECT_EQ(client.server_limits().version, net::kProtocolVersion);
+  const auto ok = client.label({query.xs, 1e9, nullptr});
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->status, service::ServeStatus::kOk);
+  const auto stats = client.stats();
   ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->label_requests, 1u);
-  EXPECT_EQ(stats->lookup_requests, 1u);
-  EXPECT_EQ(stats->recommend_requests, 1u);
-  EXPECT_EQ(stats->retrain_checks, 1u);
-  EXPECT_TRUE(stats->streams.empty());
-
-  // A v2 client on the same server sees the same ledger with the
-  // per-stream breakdown attached (the default stream owns all of it).
-  net::Client v2_client;
-  ASSERT_TRUE(v2_client.connect("127.0.0.1", served.server->port()));
-  const auto stats2 = v2_client.stats();
-  ASSERT_TRUE(stats2.has_value());
-  ASSERT_EQ(stats2->streams.size(), 1u);
-  EXPECT_EQ(stats2->streams[0].stream, service::kDefaultStreamName);
-  EXPECT_EQ(stats2->streams[0].label_requests, stats->label_requests);
-  EXPECT_EQ(stats2->streams[0].retrain_checks, stats->retrain_checks);
+  EXPECT_EQ(stats->totals().label_requests, 1u);
+  EXPECT_EQ(served.server->counters().malformed_frames, 2u);
 }
 
 TEST_F(NetFixture, UnknownStreamAnsweredStructurallyConnectionUsable) {

@@ -66,7 +66,8 @@ class ServiceFixture : public ::testing::Test {
 };
 
 TEST_F(ServiceFixture, LabelSubmitMatchesDirectCall) {
-  service::DataService service(*ds_, {.workers = 2});
+  service::DataService service({.workers = 2});
+  ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, *ds_));
   const nn::Batchset query = regime_data(0.0, 16, 102);
 
   auto future = service.submit(
@@ -85,7 +86,7 @@ TEST_F(ServiceFixture, LabelSubmitMatchesDirectCall) {
   EXPECT_EQ(response.snapshot_version, ds_->snapshot()->version());
   EXPECT_GT(response.seconds, 0.0);
 
-  const auto stats = service.stats();
+  const auto stats = service.stats().totals();
   EXPECT_EQ(stats.label_requests, 1u);
   EXPECT_EQ(stats.samples_labeled, 16u);
   EXPECT_EQ(stats.labels_reused + stats.labels_computed, 16u);
@@ -94,7 +95,8 @@ TEST_F(ServiceFixture, LabelSubmitMatchesDirectCall) {
 }
 
 TEST_F(ServiceFixture, LookupSubmitIsSeedDeterministic) {
-  service::DataService service(*ds_, {.workers = 2});
+  service::DataService service({.workers = 2});
+  ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, *ds_));
   const nn::Batchset query = regime_data(0.0, 12, 103);
 
   auto a = service.submit(service::LookupRequest{query.xs, 55}).get();
@@ -103,7 +105,7 @@ TEST_F(ServiceFixture, LookupSubmitIsSeedDeterministic) {
   for (std::size_t i = 0; i < a.batch.xs.numel(); ++i) {
     EXPECT_EQ(a.batch.xs[i], b.batch.xs[i]);
   }
-  EXPECT_EQ(service.stats().lookup_requests, 2u);
+  EXPECT_EQ(service.stats().totals().lookup_requests, 2u);
 }
 
 TEST_F(ServiceFixture, RecommendSubmitUsesManager) {
@@ -111,7 +113,9 @@ TEST_F(ServiceFixture, RecommendSubmitUsesManager) {
   const auto pdf = ds_->distribution(history_.xs);
   const auto id = zoo.publish("braggnn", "h", pdf, {1, 2, 3});
   fairms::ModelManager manager(zoo, 1.0);
-  service::DataService service(*ds_, {.workers = 2}, &manager);
+  service::DataService service({.workers = 2});
+  ASSERT_TRUE(
+      service.add_stream(service::kDefaultStreamName, *ds_, {}, &manager));
 
   const auto response =
       service.submit(service::RecommendRequest{"braggnn", history_.xs})
@@ -119,7 +123,7 @@ TEST_F(ServiceFixture, RecommendSubmitUsesManager) {
   ASSERT_TRUE(response.pick.has_value());
   EXPECT_EQ(response.pick->model_id, id);
   EXPECT_EQ(response.pdf.size(), ds_->n_clusters());
-  EXPECT_EQ(service.stats().recommend_requests, 1u);
+  EXPECT_EQ(service.stats().totals().recommend_requests, 1u);
 
   const auto miss =
       service.submit(service::RecommendRequest{"tomonet", history_.xs})
@@ -136,7 +140,8 @@ TEST_F(ServiceFixture, AsyncRetrainDoesNotBlockQueries) {
   fairds::FairDS ds(config, db);
   ds.train_system(history_.xs);
   ds.ingest(history_.xs, history_.ys, "h");
-  service::DataService service(ds, {.workers = 2});
+  service::DataService service({.workers = 2});
+  ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, ds));
 
   const std::uint64_t v1 = ds.snapshot()->version();
   const nn::Batchset probe = regime_data(1.5, 48, 104);
@@ -162,7 +167,7 @@ TEST_F(ServiceFixture, AsyncRetrainDoesNotBlockQueries) {
   // bounds are >=.
   EXPECT_GE(ds.snapshot()->version(), v1 + 1);
   EXPECT_GE(ds.retrain_count(), 1u);
-  const auto stats = service.stats();
+  const auto stats = service.stats().totals();
   EXPECT_GE(stats.retrain_checks, 1u);
   EXPECT_GE(stats.retrains, 1u);
   (void)second;
@@ -178,7 +183,8 @@ TEST_F(ServiceFixture, ConcurrentClientsWithRetrainMidStream) {
   fairds::FairDS ds(config, db);
   ds.train_system(history_.xs);
   ds.ingest(history_.xs, history_.ys, "h");
-  service::DataService service(ds, {.workers = 4});
+  service::DataService service({.workers = 4});
+  ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, ds));
 
   constexpr int kClients = 4;
   constexpr int kBatchesPerClient = 6;
@@ -214,7 +220,7 @@ TEST_F(ServiceFixture, ConcurrentClientsWithRetrainMidStream) {
   EXPECT_EQ(answered.load(),
             static_cast<std::size_t>(kClients * kBatchesPerClient));
   EXPECT_GE(ds.retrain_count(), 1u);
-  const auto stats = service.stats();
+  const auto stats = service.stats().totals();
   EXPECT_EQ(stats.label_requests,
             static_cast<std::size_t>(kClients * kBatchesPerClient));
   EXPECT_EQ(stats.samples_labeled,
@@ -228,7 +234,10 @@ TEST_F(ServiceFixture, AutoRetrainPolicyChecksAfterLabelRequests) {
   fairds::FairDS ds(config, db);
   ds.train_system(history_.xs);
   ds.ingest(history_.xs, history_.ys, "h");
-  service::DataService service(ds, {.workers = 2, .auto_retrain = true});
+  service::DataService service({.workers = 2});
+  service::StreamConfig stream;
+  stream.retrain.auto_trigger = true;
+  ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, ds, stream));
 
   const nn::Batchset query = regime_data(0.0, 8, 106);
   const auto response =
@@ -236,7 +245,7 @@ TEST_F(ServiceFixture, AutoRetrainPolicyChecksAfterLabelRequests) {
           .get();
   EXPECT_EQ(response.reuse.reused + response.reuse.computed, 8u);
   service.wait_idle();
-  EXPECT_GE(service.stats().retrain_checks, 1u);
+  EXPECT_GE(service.stats().totals().retrain_checks, 1u);
   EXPECT_GE(ds.retrain_count(), 1u);
 }
 
@@ -373,11 +382,15 @@ TEST(ShardedServing, StoreShardsPlumbThroughConfigAndStats) {
   ds.ingest(history.xs, history.ys, "history_0");
 
   // A matching declared shard count is accepted and surfaces in stats.
-  service::DataService service(ds, {.workers = 2, .store_shards = 4});
+  service::DataService service({.workers = 2});
+  service::StreamConfig stream;
+  stream.store_shards = 4;
+  ASSERT_TRUE(service.add_stream(service::kDefaultStreamName, ds, stream));
   auto future = service.submit(
       service::LabelRequest{history.xs, 1e9, zero_labeler});
   future.get();
-  EXPECT_EQ(service.stats().store_shards, 4u);
+  EXPECT_EQ(service.stream_stats(service::kDefaultStreamName).store_shards,
+            4u);
 }
 
 TEST(ShardedServing, UserPlaneResultsIdenticalAcrossShardCounts) {

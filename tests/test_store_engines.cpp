@@ -584,21 +584,23 @@ TEST(EnginePlumbing, FairDSStorageConfigReachesSampleCollection) {
   EXPECT_STREQ(ds.storage_engine(), "log");
   EXPECT_TRUE(fs::exists(dir.path + "/samples/engine.meta"));
 
-  service::DataServiceConfig svc;
-  svc.workers = 1;
-  svc.storage_engine = "log";
-  service::DataService service(ds, svc);  // matching declaration passes
-  (void)service;
+  service::DataService service({.workers = 1});
+  service::StreamConfig stream;
+  stream.storage_engine = "log";
+  // A matching declaration passes.
+  EXPECT_TRUE(service.add_stream(service::kDefaultStreamName, ds, stream));
 }
 
 TEST(EnginePlumbingDeathTest, DataServiceRejectsEngineMismatch) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   store::DocStore db;
   fairds::FairDS ds(fairds::FairDSConfig{}, db);  // mem-backed samples
-  service::DataServiceConfig svc;
-  svc.workers = 1;
-  svc.storage_engine = "log";
-  EXPECT_DEATH(service::DataService(ds, svc), "storage_engine");
+  service::DataService service({.workers = 1});
+  service::StreamConfig stream;
+  stream.storage_engine = "log";
+  EXPECT_DEATH(
+      (void)service.add_stream(service::kDefaultStreamName, ds, stream),
+      "storage_engine");
 }
 
 TEST(EnginePlumbingDeathTest, LogDirectoryPinsShardCount) {
