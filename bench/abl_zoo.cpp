@@ -1,15 +1,15 @@
-// Ablation: the versioned model plane (ModelZoo + ModelCache + parallel
-// ranking) against a remotely hosted store at ~1k zoo models.
+// Ablation: the versioned model plane (ModelZoo + ModelCache + rank index)
+// against a remotely hosted store at ~1k zoo models.
 //
 //   (1) foundation load, cold vs warm: fetch_cached() latency and
 //       RemoteLink traffic on the first load of a model vs the repeat. The
 //       repeat must move zero bytes and zero requests — the entire record
 //       is served from the parameter-blob cache.
-//   (2) recommend (rank), cold vs warm, sequential vs parallel: per-call
-//       latency and link bytes of ranking the full zoo. A warm rank moves
-//       scalars only (no PDF payloads), and the parallel path returns the
-//       identical ordering (pinned by test_model_cache) faster on
-//       multi-core hosts.
+//   (2) zoo construction (index build) vs warm rank/recommend: what a
+//       restart pays to rebuild the rank index from the store (one
+//       projected read of every record), and the per-call latency and link
+//       traffic of ranking the full zoo and of recommend's min-scan, which
+//       read the in-memory index and move zero bytes.
 //   (3) byte-budget pressure: hit rate and evictions when the blob working
 //       set exceeds the cache budget — the knob behind
 //       StreamConfig.model_cache_bytes.
@@ -42,7 +42,7 @@ struct Preset {
   std::size_t pdf_width;
   std::size_t blob_bytes;
   std::size_t fetch_probes;   ///< distinct models fetched in section (1)
-  std::size_t rank_repeats;   ///< rank calls averaged in section (2)
+  std::size_t rank_repeats;   ///< calls averaged per row of section (2)
 };
 
 Preset full_preset() { return {"full", 1024, 16, 64 * 1024, 64, 8}; }
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   const bool small = argc > 1 && std::strcmp(argv[1], "small") == 0;
   const Preset preset = small ? small_preset() : full_preset();
   bench::print_header(
-      "Ablation: versioned model plane (ModelZoo + ModelCache)",
+      "Ablation: versioned model plane (ModelZoo + ModelCache + rank index)",
       std::string("cold vs warm fetch/recommend at scale (preset: ") +
           preset.name + ", models: " + std::to_string(preset.n_models) +
           ", blob: " + std::to_string(preset.blob_bytes / 1024) +
@@ -130,35 +130,34 @@ int main(int argc, char** argv) {
                      static_cast<double>(delta.requests) / n);
   }
 
-  // ---- (2) recommend: cold vs warm, sequential vs parallel -----------------
-  std::printf("\n(2) rank over the full zoo: per-call latency and link "
-              "traffic (%zu repeats)\n", preset.rank_repeats);
+  // ---- (2) zoo construction (index build) vs warm rank/recommend --------
+  std::printf("\n(2) zoo construction (index build) vs warm rank/recommend "
+              "over the full zoo (%zu repeats)\n", preset.rank_repeats);
   bench::print_row("mode", "avg_ms", "KiB/call", "req/call");
   const auto query = random_pdf(rng, preset.pdf_width);
-  const auto measure_rank = [&](const char* label,
-                                fairms::ModelManager& manager,
-                                bool clear_first, std::size_t repeats) {
-    if (clear_first) zoo.cache().clear();
+  const auto measure = [&](const char* label, auto&& call) {
     util::WallTimer timer;
     LinkDelta delta = measure_link(db, [&] {
-      for (std::size_t r = 0; r < repeats; ++r) {
-        const auto ranked = manager.rank("braggnn", query);
-        bench::do_not_optimize(ranked);
-      }
+      for (std::size_t r = 0; r < preset.rank_repeats; ++r) call();
     });
-    const double n = static_cast<double>(repeats);
+    const double n = static_cast<double>(preset.rank_repeats);
     bench::print_row(label, timer.seconds() * 1e3 / n,
                      static_cast<double>(delta.bytes) / n / 1024.0,
                      static_cast<double>(delta.requests) / n);
   };
-  fairms::ModelManager sequential(
-      zoo, 1.0, /*parallel_rank_threshold=*/preset.n_models + 1);
-  fairms::ModelManager parallel(zoo, 1.0, /*parallel_rank_threshold=*/1);
-  measure_rank("cold_seq", sequential, /*clear_first=*/true, 1);
-  measure_rank("warm_seq", sequential, /*clear_first=*/false,
-               preset.rank_repeats);
-  measure_rank("warm_par", parallel, /*clear_first=*/false,
-               preset.rank_repeats);
+  measure("construct", [&] {
+    fairms::ModelZoo rebuilt(db);
+    bench::do_not_optimize(rebuilt.revision());
+  });
+  fairms::ModelManager manager(zoo, 1.0);
+  measure("rank", [&] {
+    const auto ranked = manager.rank("braggnn", query);
+    bench::do_not_optimize(ranked);
+  });
+  measure("recommend", [&] {
+    const auto pick = manager.recommend("braggnn", query);
+    bench::do_not_optimize(pick);
+  });
 
   // ---- (3) byte-budget pressure --------------------------------------------
   std::printf("\n(3) budget pressure: fetch every model twice under "
@@ -187,10 +186,8 @@ int main(int argc, char** argv) {
   }
 
   bench::print_footer(
-      "a warm foundation load moves zero link bytes and a warm rank moves "
-      "scalar projections only — the remote store drops out of the serving "
-      "hot path entirely once the cache holds the working set, and the "
-      "parallel rank keeps the JSD sweep off the critical path on "
-      "multi-core hosts");
+      "a warm foundation load and every rank/recommend move zero link bytes "
+      "— the remote store drops out of the serving hot path; a restart pays "
+      "one projected read of the zoo to rebuild the rank index");
   return 0;
 }

@@ -31,7 +31,8 @@ double jensen_shannon_divergence(std::span<const double> p,
 
 /// JSD of two *already normalized* distributions — no validation, no
 /// normalization pass, no allocation. The hot ranking kernel: callers
-/// normalize the query once and stored PDFs once per revision (cached).
+/// normalize the query once, and the zoo's rank index holds stored PDFs
+/// normalized once, when they are indexed.
 double jsd_normalized(std::span<const double> p, std::span<const double> q);
 
 }  // namespace fairdms::fairms

@@ -6,7 +6,7 @@ namespace fairdms::fairms {
 
 namespace {
 /// Per-entry bookkeeping overhead (map node, LRU node, control blocks) so a
-/// budget of N small entries doesn't admit an unbounded count of tiny PDFs.
+/// budget of N small entries doesn't admit an unbounded count of tiny ones.
 constexpr std::size_t kEntryOverhead = 64;
 }  // namespace
 
@@ -36,29 +36,25 @@ bool ModelCache::admits_record(std::size_t blob_bytes, std::size_t pdf_len,
          budget_bytes_;
 }
 
-std::size_t ModelCache::pdf_bytes(const std::vector<double>& pdf) {
-  return kEntryOverhead + pdf.size() * sizeof(double);
-}
-
 void ModelCache::touch_locked(Entry& entry) {
   lru_.splice(lru_.begin(), lru_, entry.lru_it);
 }
 
-void ModelCache::erase_locked(const Key& key) {
-  const auto it = entries_.find(key);
+void ModelCache::erase_locked(store::DocId id) {
+  const auto it = entries_.find(id);
   if (it == entries_.end()) return;
   resident_bytes_ -= it->second.bytes;
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
 }
 
-void ModelCache::insert_locked(const Key& key, Entry&& entry) {
-  erase_locked(key);
+void ModelCache::insert_locked(store::DocId id, Entry&& entry) {
+  erase_locked(id);
   if (entry.bytes > budget_bytes_) return;  // would evict the whole cache
-  lru_.push_front(key);
+  lru_.push_front(id);
   entry.lru_it = lru_.begin();
   resident_bytes_ += entry.bytes;
-  entries_.emplace(key, std::move(entry));
+  entries_.emplace(id, std::move(entry));
   evict_to_budget_locked();
 }
 
@@ -71,7 +67,7 @@ void ModelCache::evict_to_budget_locked() {
 
 ModelCache::RecordPtr ModelCache::get_record(store::DocId id) {
   util::MutexLock lock(mutex_);
-  const auto it = entries_.find(Key{id, /*is_pdf=*/false});
+  const auto it = entries_.find(id);
   if (it == entries_.end()) {
     ++misses_;
     return nullptr;
@@ -89,61 +85,19 @@ void ModelCache::put_record(RecordPtr record) {
     return;  // raced a mutation: this read is already stale
   }
   Entry entry;
-  entry.revision = record->revision;
   entry.bytes = record_bytes(*record);
   entry.record = std::move(record);
-  insert_locked(Key{entry.record->id, /*is_pdf=*/false}, std::move(entry));
-}
-
-ModelCache::PdfPtr ModelCache::get_pdf(store::DocId id,
-                                       std::uint64_t revision) {
-  util::MutexLock lock(mutex_);
-  const Key key{id, /*is_pdf=*/true};
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  if (it->second.revision != revision) {
-    // Only evict a *stale* entry. A newer cached revision means the
-    // caller's store read raced a mutation — dropping the writer's fresh
-    // pre-warm would force the next reader to refetch for nothing.
-    if (it->second.revision < revision) {
-      erase_locked(key);
-      ++invalidations_;
-    }
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  touch_locked(it->second);
-  return it->second.pdf;
-}
-
-void ModelCache::put_pdf(store::DocId id, std::uint64_t revision,
-                         PdfPtr pdf) {
-  if (pdf == nullptr) return;
-  util::MutexLock lock(mutex_);
-  const auto floor = floors_.find(id);
-  if (floor != floors_.end() && revision < floor->second) return;
-  Entry entry;
-  entry.revision = revision;
-  entry.bytes = pdf_bytes(*pdf);
-  entry.pdf = std::move(pdf);
-  insert_locked(Key{id, /*is_pdf=*/true}, std::move(entry));
+  insert_locked(entry.record->id, std::move(entry));
 }
 
 void ModelCache::invalidate_below(store::DocId id, std::uint64_t revision) {
   util::MutexLock lock(mutex_);
   auto& floor = floors_[id];
   if (revision > floor) floor = revision;
-  for (const bool is_pdf : {false, true}) {
-    const Key key{id, is_pdf};
-    const auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.revision < revision) {
-      erase_locked(key);
-      ++invalidations_;
-    }
+  const auto it = entries_.find(id);
+  if (it != entries_.end() && it->second.record->revision < revision) {
+    erase_locked(id);
+    ++invalidations_;
   }
 }
 

@@ -1,21 +1,15 @@
-// Parameter-blob and PDF cache of the fairMS model plane.
+// Parameter-blob cache of the fairMS model plane.
 //
 // The paper's workload re-loads the same foundation models over and over
 // (every update fine-tunes the closest zoo model), yet each load used to
-// re-fetch the full parameter blob across the RemoteLink and each rank()
-// re-normalized every candidate PDF. ModelCache keeps both hot:
+// re-fetch the full parameter blob across the RemoteLink. ModelCache keeps
+// fully materialized zoo records (metadata + shared parameter blob) hot, so
+// a repeat foundation load costs zero link bytes. Ranking does not use the
+// cache: it reads the zoo's rank index (see ModelZoo).
 //
-//  * record entries — fully materialized zoo records (metadata + shared
-//    parameter blob), so a repeat foundation load costs zero link bytes;
-//  * PDF entries — *pre-normalized* training distributions keyed by
-//    (DocId, revision), so ranking normalizes each stored PDF once per
-//    revision instead of once per request. An empty PDF entry is the
-//    "known malformed" sentinel: ranking skips the record without
-//    re-fetching (and re-logging) it every call.
-//
-// Consistency model: entries are keyed by the record's revision (assigned by
-// the owning ModelZoo's monotonic counter). Mutations call
-// invalidate_below(id, new_revision), which both drops older entries and
+// Consistency model: entries carry the record's revision (assigned by the
+// owning ModelZoo's monotonic counter). Mutations call
+// invalidate_below(id, new_revision), which both drops an older entry and
 // *pins a floor*: a reader that raced the mutation (read the old document,
 // then tried to cache it after the invalidation) has its stale put rejected.
 // Coherence therefore holds for any interleaving of readers and writers that
@@ -65,10 +59,9 @@ struct ModelCacheStats {
 class ModelCache {
  public:
   using RecordPtr = std::shared_ptr<const CachedModel>;
-  using PdfPtr = std::shared_ptr<const std::vector<double>>;
 
   /// `budget_bytes == 0` disables caching: every get misses, every put is a
-  /// no-op (the uncached reference path the parity tests compare against).
+  /// no-op.
   explicit ModelCache(std::size_t budget_bytes);
 
   /// Record lookup by id alone — a hit is trusted without consulting the
@@ -81,15 +74,6 @@ class ModelCache {
   /// record alone exceeds the whole budget.
   void put_record(RecordPtr record);
 
-  /// Pre-normalized-PDF lookup; hits only when the cached revision equals
-  /// `revision` (the caller just read the current revision from the store).
-  /// An *older* cached entry is erased on the spot; a newer one (the
-  /// caller's read raced a mutation) is left alone and reported as a miss.
-  /// May return the empty malformed-PDF sentinel — callers must check
-  /// ->empty().
-  [[nodiscard]] PdfPtr get_pdf(store::DocId id, std::uint64_t revision);
-  void put_pdf(store::DocId id, std::uint64_t revision, PdfPtr pdf);
-
   /// Whether a record entry with these components would fit the budget —
   /// the exact admission arithmetic put_record applies, for callers
   /// deciding whether pre-warming is worth a blob copy.
@@ -97,7 +81,7 @@ class ModelCache {
                                    std::size_t pdf_len, std::size_t arch_len,
                                    std::size_t dataset_len) const;
 
-  /// Drops every entry of `id` with revision < `revision` and refuses
+  /// Drops `id`'s entry when its revision is < `revision` and refuses
   /// future puts below it. Called by the zoo on attach_parameters/reindex
   /// with the freshly assigned revision.
   void invalidate_below(store::DocId id, std::uint64_t revision);
@@ -114,43 +98,30 @@ class ModelCache {
   [[nodiscard]] ModelCacheStats stats() const;
 
  private:
-  struct Key {
-    store::DocId id = 0;
-    bool is_pdf = false;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<std::uint64_t>()((k.id << 1) | (k.is_pdf ? 1u : 0u));
-    }
-  };
   struct Entry {
-    std::uint64_t revision = 0;
     std::size_t bytes = 0;
-    RecordPtr record;  ///< set for record entries
-    PdfPtr pdf;        ///< set for PDF entries
-    std::list<Key>::iterator lru_it;
+    RecordPtr record;
+    std::list<store::DocId>::iterator lru_it;
   };
 
   static std::size_t record_bytes(std::size_t blob_bytes, std::size_t pdf_len,
                                   std::size_t arch_len,
                                   std::size_t dataset_len);
   static std::size_t record_bytes(const CachedModel& record);
-  static std::size_t pdf_bytes(const std::vector<double>& pdf);
 
   // The "assume mutex_ is held" convention, compiler-checked: calling any
   // helper without the lock is a thread-safety build error.
   void touch_locked(Entry& entry) REQUIRES(mutex_);
-  void erase_locked(const Key& key) REQUIRES(mutex_);
-  void insert_locked(const Key& key, Entry&& entry) REQUIRES(mutex_);
+  void erase_locked(store::DocId id) REQUIRES(mutex_);
+  void insert_locked(store::DocId id, Entry&& entry) REQUIRES(mutex_);
   void evict_to_budget_locked() REQUIRES(mutex_);
 
   mutable util::Mutex mutex_{util::LockRank::kModelCache};
   std::size_t budget_bytes_ GUARDED_BY(mutex_);
   std::size_t resident_bytes_ GUARDED_BY(mutex_) = 0;
   /// front = most recently used
-  std::list<Key> lru_ GUARDED_BY(mutex_);
-  std::unordered_map<Key, Entry, KeyHash> entries_ GUARDED_BY(mutex_);
+  std::list<store::DocId> lru_ GUARDED_BY(mutex_);
+  std::unordered_map<store::DocId, Entry> entries_ GUARDED_BY(mutex_);
   /// id -> lowest admissible revision (see invalidate_below).
   std::unordered_map<store::DocId, std::uint64_t> floors_ GUARDED_BY(mutex_);
   std::uint64_t hits_ GUARDED_BY(mutex_) = 0;

@@ -6,7 +6,6 @@
 #include "fairms/jsd.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fairdms::fairms {
 
@@ -48,25 +47,117 @@ ModelRecord record_from_doc(store::DocId id, const store::Value& doc) {
   return r;
 }
 
+/// The projection the rank index is built from: never the blob.
+const std::vector<std::string>& index_fields() {
+  static const std::vector<std::string> kFields = {
+      "revision", "architecture", "train_pdf", "param_bytes"};
+  return kFields;
+}
+
+/// A stored record's place in the rank index.
+struct IndexRow {
+  std::string architecture;
+  std::vector<double> pdf;  ///< normalized
+};
+
+/// The index row of a stored record (an index_fields() projection), or
+/// nullopt when the record is not rankable: weightless, or a malformed
+/// training PDF (logged).
+std::optional<IndexRow> index_row(store::DocId id, const store::Value& doc) {
+  // Records written before param_bytes existed (restored store snapshots)
+  // all carried non-empty blobs — publish used to reject empty ones — so a
+  // missing field means "weights present", not "weightless".
+  if (uint_field_or(doc, "param_bytes", 1) == 0) return std::nullopt;
+  const std::vector<double> raw = value_to_pdf(doc.at("train_pdf"));
+  auto pdf = try_normalized(raw);
+  if (!pdf.has_value()) {
+    // Possible only in stores restored from before publish/reindex
+    // validated mass. Skip the record — one bad row must not crash a
+    // serving worker.
+    util::log_warn("model_zoo: record ", id, " has a malformed train_pdf (",
+                   raw.size(), " bins); excluded from ranking");
+    return std::nullopt;
+  }
+  return IndexRow{doc.at("architecture").as_string(), std::move(*pdf)};
+}
+
+void append_row(RankShelf& shelf, store::DocId id,
+                std::span<const double> pdf) {
+  shelf.ids.push_back(id);
+  shelf.pdfs.insert(shelf.pdfs.end(), pdf.begin(), pdf.end());
+}
+
+std::size_t row_of(const RankShelf& shelf, store::DocId id) {
+  const auto it = std::find(shelf.ids.begin(), shelf.ids.end(), id);
+  FAIRDMS_CHECK(it != shelf.ids.end(), "rank index: record ", id,
+                " missing from its shelf");
+  return static_cast<std::size_t>(it - shelf.ids.begin());
+}
+
+/// The total order of rank and recommend. The id tie-break makes equal
+/// distances (common with duplicate training sets) order the same way on
+/// every call.
+bool precedes(const Ranked& a, const Ranked& b) {
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.model_id < b.model_id;
+}
+
+/// Calls `visit` with the JSD of every model on `architecture`'s shelf at
+/// the input's width. The input is normalized once. A malformed input PDF
+/// (client-reachable: an empty query batch yields an all-zero cluster PDF)
+/// visits nothing and is logged instead of aborting the serving worker.
+template <typename Visit>
+void score_shelf(const ModelZoo& zoo, const std::string& architecture,
+                 std::span<const double> query_pdf, Visit&& visit) {
+  const auto input = try_normalized(query_pdf);
+  if (!input.has_value()) {
+    util::log_warn("model_manager: rank(", architecture,
+                   ") received a malformed input PDF (", query_pdf.size(),
+                   " bins); returning no candidates");
+    return;
+  }
+  const auto shelf = zoo.shelf(architecture, input->size());
+  if (shelf == nullptr) return;
+  for (std::size_t i = 0; i < shelf->ids.size(); ++i) {
+    visit(Ranked{shelf->ids[i], jsd_normalized(*input, shelf->row(i))});
+  }
+}
+
 }  // namespace
 
 ModelZoo::ModelZoo(store::DocStore& db, std::size_t cache_bytes)
     : collection_(&db.collection("model_zoo")),
       cache_(std::make_unique<ModelCache>(cache_bytes)) {
   collection_->create_index("architecture");
-  // Resume the revision counter past every stored revision so (id, revision)
-  // cache keys stay unique across restarts. One batched scalar-projected
-  // read; skipped entirely for a fresh (empty) zoo.
+  // One batched projected read (skipped for a fresh zoo) resumes the
+  // revision counter past every stored revision, so (id, revision) cache
+  // keys stay unique across restarts, and builds the rank index.
+  util::MutexLock lock(mutation_mutex_);
+  std::map<ShelfKey, std::shared_ptr<RankShelf>> shelves;
   const std::vector<store::DocId> ids = collection_->all_ids();
   if (!ids.empty()) {
-    static const std::vector<std::string> kRevisionField = {"revision"};
+    const auto docs = collection_->find_many(ids, index_fields());
     std::uint64_t max_revision = 0;
-    for (const auto& doc : collection_->find_many(ids, kRevisionField)) {
-      if (!doc.has_value()) continue;
-      max_revision = std::max(max_revision, uint_field_or(*doc, "revision", 0));
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (!docs[i].has_value()) continue;
+      // Pre-versioning records (restored snapshots) count as revision 0.
+      max_revision =
+          std::max(max_revision, uint_field_or(*docs[i], "revision", 0));
+      auto row = index_row(ids[i], *docs[i]);
+      if (!row.has_value()) continue;
+      ShelfKey key{std::move(row->architecture), row->pdf.size()};
+      auto& shelf = shelves[key];
+      if (shelf == nullptr) {
+        shelf = std::make_shared<RankShelf>();
+        shelf->width = key.width;
+      }
+      append_row(*shelf, ids[i], row->pdf);
+      shelf_of_.emplace(ids[i], std::move(key));
     }
     revision_.store(max_revision, std::memory_order_release);
   }
+  publish_index(
+      std::make_shared<const RankIndex>(shelves.begin(), shelves.end()));
 }
 
 store::DocId ModelZoo::publish(const std::string& architecture,
@@ -79,8 +170,6 @@ store::DocId ModelZoo::publish(const std::string& architecture,
   FAIRDMS_CHECK(is_valid_pdf(train_pdf),
                 "publish: train_pdf is not a valid distribution (empty, "
                 "negative/non-finite entries, or zero mass)");
-  const std::uint64_t revision =
-      revision_.fetch_add(1, std::memory_order_acq_rel) + 1;
   // Pre-warming needs a second owner of the blob (cache + store), which
   // costs one copy — skip it when the cache would refuse the record anyway
   // (disabled, or the entry over budget) and keep the old move-only path.
@@ -93,8 +182,7 @@ store::DocId ModelZoo::publish(const std::string& architecture,
   doc["architecture"] = store::Value(architecture);
   doc["dataset_id"] = store::Value(dataset_id);
   doc["train_pdf"] = pdf_to_value(train_pdf);
-  doc["revision"] = store::Value(static_cast<std::int64_t>(revision));
-  // Blob size is duplicated as a scalar so the metadata projection can tell
+  // Blob size is duplicated as a scalar so the index projection can tell
   // weightless (metadata-first) records apart without touching the blob.
   doc["param_bytes"] =
       store::Value(static_cast<std::int64_t>(parameters.size()));
@@ -105,10 +193,17 @@ store::DocId ModelZoo::publish(const std::string& architecture,
   } else {
     doc["parameters"] = store::Value(store::Binary(std::move(parameters)));
   }
+  // Revision allocation, the store commit and the index swap are one
+  // critical section, as in every mutation: two concurrent publishes
+  // cannot lose each other's swap.
+  util::MutexLock lock(mutation_mutex_);
+  const std::uint64_t revision =
+      revision_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  doc["revision"] = store::Value(static_cast<std::int64_t>(revision));
   const store::DocId id = collection_->insert_one(store::Value(std::move(doc)));
 
   // Warm the cache with what was just written: the first foundation load
-  // and the first ranking of this record cost zero link traffic.
+  // of this record costs zero link traffic.
   if (warm) {
     auto record = std::make_shared<CachedModel>();
     record->id = id;
@@ -118,16 +213,10 @@ store::DocId ModelZoo::publish(const std::string& architecture,
     record->train_pdf = train_pdf;
     record->parameters = std::move(blob);
     cache_->put_record(std::move(record));
-    // Ranking never reads a weightless record's PDF (and the completing
-    // attach_parameters bumps the revision anyway), so only weight-bearing
-    // publishes pre-warm the PDF entry.
-    if (param_count != 0) {
-      if (auto normalized = try_normalized(train_pdf)) {
-        cache_->put_pdf(id, revision,
-                        std::make_shared<const std::vector<double>>(
-                            std::move(*normalized)));
-      }
-    }
+  }
+  // A weightless record is shelved when attach_parameters completes it.
+  if (param_count != 0) {
+    place_locked(id, architecture, *try_normalized(train_pdf));
   }
   return id;
 }
@@ -154,7 +243,11 @@ bool ModelZoo::attach_parameters(store::DocId id,
   fields["revision"] = store::Value(static_cast<std::int64_t>(revision));
   // One store lock, one charge: blob, size scalar, and revision stay
   // consistent.
-  return collection_->update_fields(id, std::move(fields));
+  if (!collection_->update_fields(id, std::move(fields))) return false;
+  // A shelved record keeps its row (its PDF did not change); a weightless
+  // one becomes rankable now.
+  if (!shelf_of_.contains(id)) place_from_store_locked(id);
+  return true;
 }
 
 std::uint64_t ModelZoo::allocate_revision_locked(store::DocId id) {
@@ -167,6 +260,58 @@ std::uint64_t ModelZoo::allocate_revision_locked(store::DocId id) {
   // harmless: nothing can be cached for it.
   cache_->invalidate_below(id, revision);
   return revision;
+}
+
+void ModelZoo::place_locked(store::DocId id, const std::string& architecture,
+                            std::span<const double> pdf) {
+  ShelfKey key{architecture, pdf.size()};
+  RankIndex next = *index();  // shares every shelf
+  const auto placed = shelf_of_.find(id);
+  const bool stays = placed != shelf_of_.end() && placed->second == key;
+  if (placed != shelf_of_.end() && !stays) {
+    // Re-indexed to another width: the row leaves its old shelf.
+    auto from = std::make_shared<RankShelf>(*next.at(placed->second));
+    const auto row = static_cast<std::ptrdiff_t>(row_of(*from, id));
+    const auto width = static_cast<std::ptrdiff_t>(from->width);
+    from->ids.erase(from->ids.begin() + row);
+    from->pdfs.erase(from->pdfs.begin() + row * width,
+                     from->pdfs.begin() + (row + 1) * width);
+    if (from->ids.empty()) {
+      next.erase(placed->second);
+    } else {
+      next[placed->second] = std::move(from);
+    }
+  }
+  auto& slot = next[key];
+  auto shelf = std::make_shared<RankShelf>();
+  shelf->width = key.width;
+  if (slot != nullptr) {
+    // Reserve first: a plain copy is full, so an append would copy it again
+    // into a larger buffer.
+    shelf->ids.reserve(slot->ids.size() + 1);
+    shelf->pdfs.reserve(slot->pdfs.size() + key.width);
+    shelf->ids.assign(slot->ids.begin(), slot->ids.end());
+    shelf->pdfs.assign(slot->pdfs.begin(), slot->pdfs.end());
+  }
+  if (stays) {
+    std::copy(pdf.begin(), pdf.end(),
+              shelf->pdfs.begin() +
+                  static_cast<std::ptrdiff_t>(row_of(*shelf, id) * key.width));
+  } else {
+    append_row(*shelf, id, pdf);
+    shelf_of_.insert_or_assign(id, std::move(key));
+  }
+  slot = std::move(shelf);
+  publish_index(std::make_shared<const RankIndex>(std::move(next)));
+}
+
+void ModelZoo::place_from_store_locked(store::DocId id) {
+  const std::vector<store::DocId> ids = {id};
+  const auto docs = collection_->find_many(ids, index_fields());
+  if (!docs.front().has_value()) return;
+  if (auto row = index_row(id, *docs.front())) {
+    place_locked(id, row->architecture, row->pdf);
+  }
 }
 
 std::optional<ModelRecord> ModelZoo::fetch(store::DocId id) const {
@@ -210,98 +355,6 @@ std::vector<ModelRecord> ModelZoo::models_of(
   return out;
 }
 
-std::vector<ModelMeta> ModelZoo::metadata_of(
-    const std::string& architecture) const {
-  static const std::vector<std::string> kMetaFields = {
-      "architecture", "dataset_id", "train_pdf", "param_bytes", "revision"};
-  const std::vector<store::DocId> ids =
-      collection_->find_eq("architecture", store::Value(architecture));
-  std::vector<ModelMeta> out;
-  if (ids.empty()) return out;
-  const auto docs = collection_->find_many(ids, kMetaFields);
-  out.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (!docs[i].has_value()) continue;  // removed between lookup and fetch
-    ModelMeta meta;
-    meta.id = ids[i];
-    meta.revision = uint_field_or(*docs[i], "revision", 0);
-    meta.architecture = docs[i]->at("architecture").as_string();
-    meta.dataset_id = docs[i]->at("dataset_id").as_string();
-    meta.train_pdf = value_to_pdf(docs[i]->at("train_pdf"));
-    // Records written before param_bytes existed (restored store snapshots)
-    // all carried non-empty blobs — publish used to reject empty ones — so
-    // a missing field means "weights present", not "weightless".
-    meta.param_bytes =
-        static_cast<std::size_t>(uint_field_or(*docs[i], "param_bytes", 1));
-    out.push_back(std::move(meta));
-  }
-  return out;
-}
-
-std::vector<RankCandidate> ModelZoo::rank_candidates(
-    const std::string& architecture) const {
-  // Phase 1 — who's rankable and at what revision: scalar projection only,
-  // no PDF payloads. On a warm cache this is all the traffic a rank costs.
-  static const std::vector<std::string> kScalarFields = {"param_bytes",
-                                                         "revision"};
-  const std::vector<store::DocId> ids =
-      collection_->find_eq("architecture", store::Value(architecture));
-  std::vector<RankCandidate> out;
-  if (ids.empty()) return out;
-  const auto scalars = collection_->find_many(ids, kScalarFields);
-
-  struct Pending {
-    store::DocId id;
-    std::uint64_t revision;
-  };
-  std::vector<Pending> misses;
-  out.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (!scalars[i].has_value()) continue;  // removed mid-flight
-    if (uint_field_or(*scalars[i], "param_bytes", 1) == 0) {
-      continue;  // weightless: never a fine-tuning foundation
-    }
-    const std::uint64_t revision = uint_field_or(*scalars[i], "revision", 0);
-    if (auto pdf = cache_->get_pdf(ids[i], revision)) {
-      // Empty = the known-malformed sentinel: skip without re-fetching.
-      if (!pdf->empty()) out.push_back(RankCandidate{ids[i], std::move(pdf)});
-      continue;
-    }
-    misses.push_back(Pending{ids[i], revision});
-  }
-
-  // Phase 2 — fetch only the missing PDFs, normalize once, cache.
-  if (!misses.empty()) {
-    static const std::vector<std::string> kPdfField = {"train_pdf"};
-    std::vector<store::DocId> miss_ids;
-    miss_ids.reserve(misses.size());
-    for (const Pending& m : misses) miss_ids.push_back(m.id);
-    const auto docs = collection_->find_many(miss_ids, kPdfField);
-    for (std::size_t i = 0; i < misses.size(); ++i) {
-      if (!docs[i].has_value()) continue;
-      const std::vector<double> raw = value_to_pdf(docs[i]->at("train_pdf"));
-      auto normalized = try_normalized(raw);
-      if (!normalized.has_value()) {
-        // Possible in snapshots restored from before publish/reindex
-        // validated mass. Skip the record — crashing the serving worker
-        // over one bad row is the bug this path fixes — and remember the
-        // verdict so it is logged once, not once per rank.
-        util::log_warn("model_zoo: record ", misses[i].id,
-                       " has a malformed train_pdf (", raw.size(),
-                       " bins); excluded from ranking");
-        cache_->put_pdf(misses[i].id, misses[i].revision,
-                        std::make_shared<const std::vector<double>>());
-        continue;
-      }
-      auto pdf = std::make_shared<const std::vector<double>>(
-          std::move(*normalized));
-      cache_->put_pdf(misses[i].id, misses[i].revision, pdf);
-      out.push_back(RankCandidate{misses[i].id, std::move(pdf)});
-    }
-  }
-  return out;
-}
-
 bool ModelZoo::reindex(store::DocId id, const std::vector<double>& train_pdf) {
   if (!is_valid_pdf(train_pdf)) {
     // Historically this accepted anything publish would reject, letting a
@@ -317,81 +370,63 @@ bool ModelZoo::reindex(store::DocId id, const std::vector<double>& train_pdf) {
   util::MutexLock lock(mutation_mutex_);
   const std::uint64_t revision = allocate_revision_locked(id);
   fields["revision"] = store::Value(static_cast<std::int64_t>(revision));
-  const bool found = collection_->update_fields(id, std::move(fields));
-  if (found) {
-    // The new PDF is known-valid; keep ranking warm across the re-index.
-    if (auto normalized = try_normalized(train_pdf)) {
-      cache_->put_pdf(id, revision,
-                      std::make_shared<const std::vector<double>>(
-                          std::move(*normalized)));
-    }
+  if (!collection_->update_fields(id, std::move(fields))) return false;
+  const auto placed = shelf_of_.find(id);
+  if (placed != shelf_of_.end()) {
+    const std::string architecture = placed->second.architecture;
+    place_locked(id, architecture, *try_normalized(train_pdf));
+  } else {
+    // Weightless records stay unshelved; a record whose stored PDF was
+    // malformed becomes rankable.
+    place_from_store_locked(id);
   }
-  return found;
+  return true;
+}
+
+std::shared_ptr<const ModelZoo::RankIndex> ModelZoo::index() const {
+  util::MutexLock lock(index_mutex_);
+  return index_;
+}
+
+void ModelZoo::publish_index(std::shared_ptr<const RankIndex> next) {
+  util::MutexLock lock(index_mutex_);
+  index_.swap(next);  // the previous index dies with `next`, after the unlock
+}
+
+std::shared_ptr<const RankShelf> ModelZoo::shelf(
+    const std::string& architecture, std::size_t width) const {
+  const auto current = index();
+  const auto it = current->find(ShelfKey{architecture, width});
+  return it == current->end() ? nullptr : it->second;
 }
 
 std::size_t ModelZoo::size() const { return collection_->size(); }
 
-ModelManager::ModelManager(const ModelZoo& zoo, double distance_threshold,
-                           std::size_t parallel_rank_threshold)
-    : zoo_(&zoo),
-      threshold_(distance_threshold),
-      parallel_threshold_(std::max<std::size_t>(1, parallel_rank_threshold)) {
+ModelManager::ModelManager(const ModelZoo& zoo, double distance_threshold)
+    : zoo_(&zoo), threshold_(distance_threshold) {
   FAIRDMS_CHECK(distance_threshold > 0.0 && distance_threshold <= 1.0,
                 "distance threshold must be in (0, 1]");
 }
 
 std::vector<Ranked> ModelManager::rank(
     const std::string& architecture,
-    std::span<const double> input_pdf) const {
-  const auto input = try_normalized(input_pdf);
-  if (!input.has_value()) {
-    // Client-reachable (an empty query batch yields an all-zero cluster
-    // PDF): answer "no candidates" instead of aborting the serving worker
-    // — the same survival rule rank_candidates applies to stored PDFs.
-    util::log_warn("model_manager: rank(", architecture,
-                   ") received a malformed input PDF (", input_pdf.size(),
-                   " bins); returning no candidates");
-    return {};
-  }
-  std::vector<RankCandidate> candidates = zoo_->rank_candidates(architecture);
-  // Models indexed under a different clustering width are stale — skip.
-  std::erase_if(candidates, [&](const RankCandidate& c) {
-    return c.pdf->size() != input->size();
-  });
-
-  std::vector<Ranked> out(candidates.size());
-  const auto score = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = Ranked{candidates[i].id,
-                      jsd_normalized(*input, *candidates[i].pdf)};
-    }
-  };
-  if (candidates.size() >= parallel_threshold_) {
-    // Each slot is written by exactly one chunk with chunk-independent
-    // arithmetic, so the fan-out is race-free and byte-identical to the
-    // sequential loop.
-    util::ThreadPool::global().parallel_for(candidates.size(), score,
-                                            /*min_grain=*/32);
-  } else {
-    score(0, candidates.size());
-  }
-  std::sort(out.begin(), out.end(), [](const Ranked& a, const Ranked& b) {
-    // The id tie-break pins a total order: equal distances (common with
-    // duplicate training sets) sort the same way on every path.
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.model_id < b.model_id;
-  });
+    std::span<const double> query_pdf) const {
+  std::vector<Ranked> out;
+  score_shelf(*zoo_, architecture, query_pdf,
+              [&](const Ranked& r) { out.push_back(r); });
+  std::sort(out.begin(), out.end(), precedes);
   return out;
 }
 
 std::optional<Ranked> ModelManager::recommend(
     const std::string& architecture,
-    std::span<const double> input_pdf) const {
-  const auto ranked = rank(architecture, input_pdf);
-  if (ranked.empty() || ranked.front().distance > threshold_) {
-    return std::nullopt;
-  }
-  return ranked.front();
+    std::span<const double> query_pdf) const {
+  std::optional<Ranked> best;
+  score_shelf(*zoo_, architecture, query_pdf, [&](const Ranked& r) {
+    if (!best.has_value() || precedes(r, *best)) best = r;
+  });
+  if (!best.has_value() || best->distance > threshold_) return std::nullopt;
+  return best;
 }
 
 }  // namespace fairdms::fairms

@@ -6,17 +6,25 @@
 // The zoo is a *versioned* registry (the FAIR-models framing of
 // arXiv:2207.00611): every record carries a revision assigned from the
 // zoo's monotonic counter, bumped by publish / attach_parameters / reindex.
-// Revisions key the ModelCache, so repeat foundation loads and repeat
-// rankings are served from memory — zero RemoteLink traffic — until the
-// record actually changes.
+// Revisions key the ModelCache, so repeat foundation loads are served from
+// memory — zero RemoteLink traffic — until the record actually changes.
+//
+// Ranking never reads the store: the zoo publishes an immutable rank index
+// (the normalized training PDFs of every weight-bearing record, shelved by
+// architecture and PDF width) that the mutators maintain and readers load
+// with one pointer copy — the same publish-and-load design as
+// fairds::Snapshot.
 #pragma once
 
 #include <atomic>
+#include <compare>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fairms/model_cache.hpp"
@@ -35,41 +43,43 @@ struct ModelRecord {
   std::vector<std::uint8_t> parameters;  ///< nn::save_parameters blob
 };
 
-/// Everything rank/recommend needs — no parameter bytes.
-struct ModelMeta {
-  store::DocId id = 0;
-  std::uint64_t revision = 0;
-  std::string architecture;
-  std::string dataset_id;
-  std::vector<double> train_pdf;
-  /// Size of the stored parameter blob. 0 => metadata-first record whose
-  /// weights have not arrived; rank/recommend skip those (they cannot
-  /// serve as fine-tuning foundations).
-  std::size_t param_bytes = 0;
-};
+/// One shelf of the rank index: every weight-bearing record of one
+/// architecture whose training PDF has `width` bins. Row i is model ids[i]
+/// with its *normalized* PDF at pdfs[i * width, (i + 1) * width). Rows are
+/// in no particular order; rank sorts by (distance, id).
+struct RankShelf {
+  std::size_t width = 0;
+  std::vector<store::DocId> ids;
+  std::vector<double> pdfs;  ///< row-major, ids.size() x width
 
-/// One rank-ready candidate: a weight-bearing record's id and its
-/// *pre-normalized* training PDF (shared with the cache — never copied per
-/// request).
-struct RankCandidate {
-  store::DocId id = 0;
-  ModelCache::PdfPtr pdf;
+  [[nodiscard]] std::span<const double> row(std::size_t i) const {
+    return {pdfs.data() + i * width, width};
+  }
 };
 
 /// Thread-safety: every store access maps to one synchronized collection
-/// operation and the cache is internally locked, so concurrent
-/// publish/fetch/reindex/rank from multiple threads is safe. Cache
-/// coherence is per-ModelZoo instance: mutations through *this* zoo
-/// invalidate its cache (revision floors make that race-proof); a second
-/// writer zoo over the same store requires cache().clear() here.
+/// operation, the cache is internally locked, and the rank index is an
+/// immutable value published through one guarded pointer, so concurrent
+/// publish/fetch/reindex/rank from multiple threads is safe.
+///
+/// Coherence is per-ModelZoo instance. Mutations through *this* zoo keep its
+/// cache (revision floors) and its rank index current. The rank index is
+/// built from the store only at construction: a store changed behind the
+/// zoo's back (a second writer zoo, a restored snapshot) needs a new
+/// ModelZoo before rank sees the change. cache().clear() is enough for
+/// fetch_cached. The index lives outside the cache budget: N x (8 + 8 x
+/// width) bytes for N rankable models.
 class ModelZoo {
  public:
-  /// Default parameter-blob/PDF cache budget (see ModelCache).
+  /// Default parameter-blob cache budget (see ModelCache).
   static constexpr std::size_t kDefaultCacheBytes = 64ull << 20;
 
   /// Models live in the "model_zoo" collection of `db`, indexed by
-  /// architecture. `cache_bytes == 0` disables the cache (every read goes
-  /// to the store — the reference path of the parity tests).
+  /// architecture. `cache_bytes == 0` disables the cache (every
+  /// fetch_cached goes to the store). Construction reads every record's
+  /// revision, architecture, training PDF and blob size (never the blob) in
+  /// one batched read, to resume the revision counter and build the rank
+  /// index.
   explicit ModelZoo(store::DocStore& db,
                     std::size_t cache_bytes = kDefaultCacheBytes);
 
@@ -80,7 +90,8 @@ class ModelZoo {
   /// before its weights arrive); such records are fetchable but excluded
   /// from rank/recommend until attach_parameters supplies their weights.
   /// The new record is inserted into the cache, so the first foundation
-  /// load after a publish is already warm.
+  /// load after a publish is already warm, and, when it has weights, into
+  /// the rank index.
   store::DocId publish(const std::string& architecture,
                        const std::string& dataset_id,
                        const std::vector<double>& train_pdf,
@@ -109,29 +120,23 @@ class ModelZoo {
   [[nodiscard]] std::vector<ModelRecord> models_of(
       const std::string& architecture) const;
 
-  /// Metadata of all models of one architecture via one index lookup plus
-  /// one batched, field-projected read — parameter blobs (the dominant
-  /// payload) are never touched, decoded, or charged.
-  [[nodiscard]] std::vector<ModelMeta> metadata_of(
-      const std::string& architecture) const;
-
-  /// Rank-ready candidates of one architecture: weight-bearing records
-  /// with their pre-normalized training PDFs, served from the cache where
-  /// the stored revision matches and fetched (then cached) otherwise.
-  /// Malformed stored PDFs — possible in snapshots restored from before
-  /// mass validation existed — are skipped and logged once, never aborted
-  /// on. This is the read path ModelManager::rank runs on: a warm call
-  /// transfers only ids and revision scalars, no PDF payloads.
-  [[nodiscard]] std::vector<RankCandidate> rank_candidates(
-      const std::string& architecture) const;
-
   /// Replaces the stored training-data distribution of a model (the system
   /// plane re-indexes the zoo after the clustering model is retrained).
   /// Returns false (and changes nothing) when `id` is absent or the PDF is
   /// malformed (empty, negative/non-finite entries, or zero mass) — the
   /// same validation publish applies, so a bad re-index can never poison
-  /// later rank/recommend calls.
+  /// later rank/recommend calls. A new width moves the record to the shelf
+  /// of that width.
   bool reindex(store::DocId id, const std::vector<double>& train_pdf);
+
+  /// The rank shelf of `architecture` at PDF `width`; nullptr when no
+  /// rankable model matches. One pointer copy: no store read, no cache
+  /// lookup, no wait on a mutation in progress. A record whose stored PDF
+  /// is malformed — possible only in a store restored from before publish
+  /// validated mass — is never shelved (it is logged once, when the index
+  /// meets it).
+  [[nodiscard]] std::shared_ptr<const RankShelf> shelf(
+      const std::string& architecture, std::size_t width) const;
 
   [[nodiscard]] std::size_t size() const;
 
@@ -143,11 +148,18 @@ class ModelZoo {
     return revision_.load(std::memory_order_acquire);
   }
 
-  /// The parameter-blob/PDF cache (internally synchronized; mutable
-  /// through a const zoo the way any cache is).
+  /// The parameter-blob cache (internally synchronized; mutable through a
+  /// const zoo the way any cache is).
   [[nodiscard]] ModelCache& cache() const { return *cache_; }
 
  private:
+  struct ShelfKey {
+    std::string architecture;
+    std::size_t width = 0;
+    auto operator<=>(const ShelfKey&) const = default;
+  };
+  using RankIndex = std::map<ShelfKey, std::shared_ptr<const RankShelf>>;
+
   /// Allocates the next revision and raises `id`'s cache floor to it — the
   /// first half of every record mutation. The REQUIRES contract makes the
   /// ordering invariant below compiler-checked: a mutator cannot allocate
@@ -157,15 +169,44 @@ class ModelZoo {
   std::uint64_t allocate_revision_locked(store::DocId id)
       REQUIRES(mutation_mutex_);
 
+  /// Shelves `id` under `architecture` with normalized PDF `pdf`, replacing
+  /// its row wherever it was, and publishes the new index. Copies only the
+  /// shelves it touches.
+  void place_locked(store::DocId id, const std::string& architecture,
+                    std::span<const double> pdf) REQUIRES(mutation_mutex_);
+
+  /// Re-reads an unshelved record from the store and shelves it when it is
+  /// rankable now (weights attached, or a malformed PDF replaced).
+  void place_from_store_locked(store::DocId id) REQUIRES(mutation_mutex_);
+
+  [[nodiscard]] std::shared_ptr<const RankIndex> index() const
+      EXCLUDES(index_mutex_);
+  void publish_index(std::shared_ptr<const RankIndex> next)
+      EXCLUDES(index_mutex_);
+
   store::Collection* collection_;
   std::atomic<std::uint64_t> revision_{0};
-  /// Orders record mutations: revision allocation and the store commit
-  /// happen atomically with respect to other mutators, so a record's
-  /// stored revision can never fall behind a concurrent mutation's cache
-  /// floor (which would silently pin the record uncacheable). Reads never
-  /// take this lock; mutations are the rare path.
+  /// Orders record mutations: revision allocation, the store commit and the
+  /// index swap happen atomically with respect to other mutators, so a
+  /// record's stored revision can never fall behind a concurrent mutation's
+  /// cache floor (which would silently pin the record uncacheable) and no
+  /// mutation loses another's index swap. Reads never take this lock;
+  /// mutations are the rare path.
   util::Mutex mutation_mutex_{util::LockRank::kZooMutation};
   std::unique_ptr<ModelCache> cache_;
+  /// Guards only the published index pointer: held to copy or swap it,
+  /// never while an index is built, so a reader waits at most for a
+  /// pointer swap. (libstdc++'s std::atomic<std::shared_ptr> takes the same
+  /// kind of lock internally — it is not lock-free — but its load releases
+  /// it with a relaxed store, which ThreadSanitizer rightly reports as a
+  /// race against a concurrent store.)
+  mutable util::Mutex index_mutex_{util::LockRank::kZooIndex};
+  /// The published rank index: readers copy it, mutators copy-swap it
+  /// under mutation_mutex_.
+  std::shared_ptr<const RankIndex> index_ GUARDED_BY(index_mutex_);
+  /// Which shelf holds each shelved record — the writers' way to its row.
+  std::unordered_map<store::DocId, ShelfKey> shelf_of_
+      GUARDED_BY(mutation_mutex_);
 };
 
 /// Ranks zoo models by JSD between their training-data PDF and an input
@@ -177,36 +218,29 @@ struct Ranked {
 
 class ModelManager {
  public:
-  /// Candidate count at or above which rank() fans the JSD evaluation out
-  /// over util::ThreadPool::global(). Results are byte-identical to the
-  /// sequential path (independent per-candidate arithmetic, deterministic
-  /// sort), so the threshold is purely a latency knob.
-  static constexpr std::size_t kParallelRankThreshold = 128;
-
   /// `distance_threshold`: if even the closest model is farther than this,
   /// recommend() declines and the caller trains from scratch (paper §II-C).
-  /// `parallel_rank_threshold` overrides kParallelRankThreshold (tests pin
-  /// parallel-vs-sequential parity by forcing each path).
-  explicit ModelManager(
-      const ModelZoo& zoo, double distance_threshold = 0.5,
-      std::size_t parallel_rank_threshold = kParallelRankThreshold);
+  explicit ModelManager(const ModelZoo& zoo, double distance_threshold = 0.5);
 
-  /// All models of `architecture` whose PDF length matches, ascending by
-  /// (distance, id) — the id tie-break makes the order deterministic for
-  /// equal distances. Models indexed under a different clustering (stale
-  /// PDF width), weightless records, and malformed stored PDFs are
-  /// skipped. The input PDF is normalized once; stored PDFs come
-  /// pre-normalized from the zoo's cache. A malformed input PDF (e.g. the
-  /// all-zero distribution of an empty query batch) yields an empty
-  /// ranking (logged) — never an abort: this runs on serving workers.
+  /// All rankable models of `architecture` whose PDF width matches the
+  /// input's, ascending by (distance, id) — the id tie-break makes the
+  /// order deterministic for equal distances. Models indexed under a
+  /// different clustering (stale PDF width), weightless records, and
+  /// malformed stored PDFs are not on the shelf it reads. The input PDF is
+  /// normalized once; stored PDFs were normalized when they were shelved,
+  /// so a call makes no store read and no cache lookup. A malformed input
+  /// PDF (e.g. the all-zero distribution of an empty query batch) yields an
+  /// empty ranking (logged) — never an abort: this runs on serving workers.
   [[nodiscard]] std::vector<Ranked> rank(
       const std::string& architecture,
-      std::span<const double> input_pdf) const;
+      std::span<const double> query_pdf) const;
 
-  /// Closest model if within threshold; nullopt => train from scratch.
+  /// Closest model if within threshold; nullopt => train from scratch. A
+  /// min-scan over the same shelf in the same (distance, id) order, so the
+  /// pick is always rank()'s front.
   [[nodiscard]] std::optional<Ranked> recommend(
       const std::string& architecture,
-      std::span<const double> input_pdf) const;
+      std::span<const double> query_pdf) const;
 
   [[nodiscard]] double distance_threshold() const { return threshold_; }
   [[nodiscard]] const ModelZoo& zoo() const { return *zoo_; }
@@ -214,7 +248,6 @@ class ModelManager {
  private:
   const ModelZoo* zoo_;
   double threshold_;
-  std::size_t parallel_threshold_;
 };
 
 }  // namespace fairdms::fairms

@@ -336,17 +336,18 @@ ServiceStats DataService::stats() const {
 
   // Per-stream snapshots taken one at a time (never two stats mutexes at
   // once).
-  std::unordered_set<const fairms::ModelManager*> managers;
+  std::unordered_set<const fairms::ModelZoo*> zoos;
   const auto streams = registry_.all();
   out.streams.reserve(streams.size());
   for (const auto& stream : streams) {
     out.streams.push_back(stream->stats());
-    if (stream->manager != nullptr) managers.insert(stream->manager);
+    if (stream->manager != nullptr) zoos.insert(&stream->manager->zoo());
   }
-  // Model-plane cache gauges, deduplicated by manager so tenants sharing
-  // one zoo are not double-counted.
-  for (const fairms::ModelManager* manager : managers) {
-    const auto cache = manager->zoo().cache().stats();
+  // Model-plane cache gauges, deduplicated by zoo (the cache's owner) so
+  // tenants sharing one zoo — even through different managers — are not
+  // double-counted.
+  for (const fairms::ModelZoo* zoo : zoos) {
+    const auto cache = zoo->cache().stats();
     out.model_cache_hits += cache.hits;
     out.model_cache_misses += cache.misses;
     out.model_cache_evictions += cache.evictions;

@@ -1,13 +1,15 @@
-// Model-plane cache tests (`service` label — runs under the TSan CI job):
-// raw ModelCache LRU/budget/floor mechanics, zoo revision monotonicity
-// (including resume-after-restart), zero-link-traffic repeat foundation
-// loads, cache invalidation after attach_parameters/reindex, a randomized
-// cached-parallel vs uncached-sequential parity suite over rank / recommend
-// / fetch (results, ordering, and charged bytes), a concurrent
-// hit/miss/evict stress drive, and regression tests for the three model-
-// plane bugfixes (reindex mass validation, rank surviving malformed stored
-// PDFs, attach_parameters rejecting empty blobs) plus the single-round-trip
-// models_of rewrite.
+// Model-plane cache and rank-index tests (`service` label — runs under the
+// TSan CI job): raw ModelCache LRU/budget/floor mechanics, zoo revision
+// monotonicity (including resume-after-restart), zero-link-traffic repeat
+// foundation loads, cache invalidation after attach_parameters/reindex,
+// rank/recommend making no store or cache call, a randomized parity suite
+// of the incrementally maintained rank index against a freshly built one
+// and against a store-read reference ranking, a concurrent
+// hit/miss/evict stress drive that also pins the index under racing
+// mutations, and regression tests for the model-plane bugfixes (reindex
+// mass validation, rank surviving malformed stored PDFs and legacy
+// records, attach_parameters rejecting empty blobs) plus the
+// single-round-trip models_of rewrite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -92,9 +94,7 @@ TEST(ModelCacheLru, BudgetEvictsLeastRecentlyUsed) {
 TEST(ModelCacheLru, ZeroBudgetDisablesCaching) {
   ModelCache cache(0);
   cache.put_record(make_record(1, 1, 16));
-  cache.put_pdf(1, 1, std::make_shared<const std::vector<double>>(2, 0.5));
   EXPECT_EQ(cache.get_record(1), nullptr);
-  EXPECT_EQ(cache.get_pdf(1, 1), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
 }
@@ -118,21 +118,6 @@ TEST(ModelCacheLru, RevisionFloorRejectsStalePuts) {
   ASSERT_NE(cache.get_record(7), nullptr);
   EXPECT_EQ(cache.get_record(7)->revision, 5u);
   EXPECT_GE(cache.stats().invalidations, 1u);
-}
-
-TEST(ModelCacheLru, PdfHitRequiresMatchingRevision) {
-  ModelCache cache(1 << 20);
-  cache.put_pdf(4, 2, std::make_shared<const std::vector<double>>(3, 1.0 / 3));
-  EXPECT_NE(cache.get_pdf(4, 2), nullptr);
-  EXPECT_EQ(cache.get_pdf(4, 3), nullptr);  // stale entry erased on the spot
-  EXPECT_EQ(cache.get_pdf(4, 2), nullptr);
-
-  // A NEWER cached entry is a miss but is NOT evicted: a reader whose
-  // store read raced a mutation must not destroy the writer's fresh
-  // pre-warm.
-  cache.put_pdf(5, 7, std::make_shared<const std::vector<double>>(3, 1.0 / 3));
-  EXPECT_EQ(cache.get_pdf(5, 6), nullptr);
-  EXPECT_NE(cache.get_pdf(5, 7), nullptr);
 }
 
 TEST(ModelCacheLru, AdmitsRecordMatchesPutRecordAdmission) {
@@ -260,6 +245,9 @@ TEST(ZooCache, InvalidatedAfterAttachParametersAndReindex) {
 }
 
 TEST(ZooCache, WarmRankTransfersNoPdfPayload) {
+  // rank and recommend read the zoo's in-memory rank index: zero link
+  // requests, zero bytes and zero cache lookups, whether the blob cache is
+  // cold or warm and whether the zoo was just constructed.
   store::DocStore db = counting_db();
   ModelZoo zoo(db);
   util::Rng rng(411);
@@ -269,79 +257,121 @@ TEST(ZooCache, WarmRankTransfersNoPdfPayload) {
     zoo.publish("braggnn", "m" + std::to_string(i), random_pdf(rng, kWidth),
                 random_blob(rng, 64));
   }
-  fairms::ModelManager manager(zoo, 1.0);
   const auto query = random_pdf(rng, kWidth);
 
+  const auto expect_no_traffic = [&](const ModelZoo& z, const char* pass) {
+    const fairms::ModelManager manager(z, 1.0);
+    const auto requests = db.link().requests();
+    const auto bytes = db.link().bytes_moved();
+    const auto lookups = z.cache().stats().hits + z.cache().stats().misses;
+    const auto ranked = manager.rank("braggnn", query);
+    const auto pick = manager.recommend("braggnn", query);
+    EXPECT_EQ(db.link().requests() - requests, 0u) << pass;
+    EXPECT_EQ(db.link().bytes_moved() - bytes, 0u) << pass;
+    EXPECT_EQ(z.cache().stats().hits + z.cache().stats().misses, lookups)
+        << pass;
+    ASSERT_EQ(ranked.size(), kModels) << pass;
+    ASSERT_TRUE(pick.has_value()) << pass;
+    EXPECT_EQ(pick->model_id, ranked.front().model_id) << pass;
+    EXPECT_EQ(pick->distance, ranked.front().distance) << pass;
+  };
   zoo.cache().clear();
-  const auto cold_before = db.link().bytes_moved();
-  const auto cold = manager.rank("braggnn", query);
-  const auto cold_bytes = db.link().bytes_moved() - cold_before;
-
-  const auto warm_before = db.link().bytes_moved();
-  const auto warm = manager.rank("braggnn", query);
-  const auto warm_bytes = db.link().bytes_moved() - warm_before;
-
-  ASSERT_EQ(cold.size(), kModels);
-  ASSERT_EQ(warm.size(), kModels);
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(cold[i].model_id, warm[i].model_id);
-    EXPECT_EQ(cold[i].distance, warm[i].distance);
-  }
-  // The cold call moved every PDF; the warm call moved scalars only.
-  EXPECT_LT(warm_bytes, cold_bytes);
-  EXPECT_LT(warm_bytes, kModels * kWidth * sizeof(double));
+  expect_no_traffic(zoo, "cold");
+  expect_no_traffic(zoo, "warm");
+  // A zoo over an existing store pays one read at construction, never per
+  // call.
+  const ModelZoo reopened(db);
+  expect_no_traffic(reopened, "reopened");
 }
 
-// --- randomized cached/parallel vs uncached/sequential parity ---------------
+// --- rank-index parity ------------------------------------------------------
+
+/// The ranking read straight from the store: every weight-bearing record of
+/// `architecture` whose stored PDF has the query's width and normalizes,
+/// ascending by (distance, id).
+std::vector<fairms::Ranked> store_rank(const ModelZoo& zoo,
+                                       const std::string& architecture,
+                                       const std::vector<double>& query) {
+  std::vector<fairms::Ranked> out;
+  const auto input = fairms::try_normalized(query);
+  if (!input.has_value()) return out;
+  for (const auto& record : zoo.models_of(architecture)) {
+    if (record.parameters.empty()) continue;
+    if (record.train_pdf.size() != input->size()) continue;
+    const auto pdf = fairms::try_normalized(record.train_pdf);
+    if (!pdf.has_value()) continue;
+    out.push_back({record.id, fairms::jsd_normalized(*input, *pdf)});
+  }
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.model_id < b.model_id;
+  });
+  return out;
+}
+
+void expect_same_ranking(const std::vector<fairms::Ranked>& got,
+                         const std::vector<fairms::Ranked>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].model_id, want[i].model_id) << what << " #" << i;
+    // Bitwise-equal distances: the same arithmetic on every path.
+    EXPECT_EQ(got[i].distance, want[i].distance) << what << " #" << i;
+  }
+}
 
 TEST(RankParity, RandomizedCachedParallelMatchesUncachedSequential) {
-  store::DocStore db = counting_db();
-  // Writer zoo: cached, parallel ranking forced on every call. Reference
-  // zoo: cache disabled (budget 0), strictly sequential ranking, reading
-  // the same store. Mutations go through the writer only, so the reference
-  // is always store-fresh.
-  ModelZoo cached_zoo(db);
-  ModelZoo reference_zoo(db, /*cache_bytes=*/0);
-  fairms::ModelManager cached_manager(cached_zoo, 1.0,
-                                      /*parallel_rank_threshold=*/1);
-  fairms::ModelManager reference_manager(
-      reference_zoo, 1.0,
-      /*parallel_rank_threshold=*/std::numeric_limits<std::size_t>::max());
-
+  // The writer zoo maintains its rank index incrementally through random
+  // publishes (some weightless), attach_parameters and reindex calls
+  // (including width changes). After each round its rankings and picks
+  // must be bitwise equal to those of a zoo freshly constructed over the
+  // same store (the rebuild path) and to the store-read reference above.
+  store::DocStore db;
+  ModelZoo writer(db);
   util::Rng rng(2024);
   const std::vector<std::string> archs = {"braggnn", "cookienetae"};
-  constexpr std::size_t kWidth = 6;
+  const std::vector<std::size_t> widths = {4, 6};
+  const auto random_width = [&] {
+    return widths[rng.uniform_index(widths.size())];
+  };
   std::vector<store::DocId> ids;
 
-  const auto check_parity = [&] {
+  const auto check_parity = [&](int round) {
+    const ModelZoo rebuilt(db);
     // fetch parity over every record.
     for (const auto id : ids) {
-      const auto cached = cached_zoo.fetch_cached(id);
-      const auto reference = reference_zoo.fetch(id);
+      const auto cached = writer.fetch_cached(id);
+      const auto reference = rebuilt.fetch(id);
       ASSERT_TRUE(cached != nullptr && reference.has_value());
       EXPECT_EQ(cached->architecture, reference->architecture);
       EXPECT_EQ(cached->train_pdf, reference->train_pdf);
       EXPECT_EQ(*cached->parameters, reference->parameters);
       EXPECT_EQ(cached->revision, reference->revision);
     }
-    // rank/recommend parity for random queries against both architectures.
-    for (int q = 0; q < 4; ++q) {
-      const auto query = random_pdf(rng, kWidth);
-      for (const auto& arch : archs) {
-        const auto fast = cached_manager.rank(arch, query);
-        const auto slow = reference_manager.rank(arch, query);
-        ASSERT_EQ(fast.size(), slow.size()) << arch;
-        for (std::size_t i = 0; i < fast.size(); ++i) {
-          EXPECT_EQ(fast[i].model_id, slow[i].model_id) << arch << " #" << i;
-          // Bitwise-equal distances: same arithmetic on both paths.
-          EXPECT_EQ(fast[i].distance, slow[i].distance) << arch << " #" << i;
-        }
-        const auto pick_fast = cached_manager.recommend(arch, query);
-        const auto pick_slow = reference_manager.recommend(arch, query);
-        ASSERT_EQ(pick_fast.has_value(), pick_slow.has_value());
-        if (pick_fast.has_value()) {
-          EXPECT_EQ(pick_fast->model_id, pick_slow->model_id);
-          EXPECT_EQ(pick_fast->distance, pick_slow->distance);
+    for (const double threshold : {1.0, 0.05}) {
+      const fairms::ModelManager incremental(writer, threshold);
+      const fairms::ModelManager fresh(rebuilt, threshold);
+      for (int q = 0; q < 4; ++q) {
+        const auto query = random_pdf(rng, random_width());
+        for (const auto& arch : archs) {
+          const std::string what = "round " + std::to_string(round) + " " +
+                                   arch + " width " +
+                                   std::to_string(query.size());
+          const auto reference = store_rank(writer, arch, query);
+          expect_same_ranking(incremental.rank(arch, query), reference,
+                              what + " incremental");
+          expect_same_ranking(fresh.rank(arch, query), reference,
+                              what + " rebuilt");
+          const bool expected = !reference.empty() &&
+                                reference.front().distance <= threshold;
+          for (const auto* manager : {&incremental, &fresh}) {
+            const auto pick = manager->recommend(arch, query);
+            ASSERT_EQ(pick.has_value(), expected) << what;
+            if (expected) {
+              EXPECT_EQ(pick->model_id, reference.front().model_id) << what;
+              EXPECT_EQ(pick->distance, reference.front().distance) << what;
+            }
+          }
         }
       }
     }
@@ -351,60 +381,24 @@ TEST(RankParity, RandomizedCachedParallelMatchesUncachedSequential) {
     // Publish a few models: mostly weighted, occasionally metadata-first.
     for (int i = 0; i < 8; ++i) {
       const bool weightless = rng.uniform() < 0.2;
-      ids.push_back(cached_zoo.publish(
+      ids.push_back(writer.publish(
           archs[rng.uniform_index(archs.size())],
           "r" + std::to_string(round) + "_" + std::to_string(i),
-          random_pdf(rng, kWidth),
+          random_pdf(rng, random_width()),
           weightless ? std::vector<std::uint8_t>{}
                      : random_blob(rng, 32 + rng.uniform_index(96))));
     }
     // Mutate a few existing records.
-    for (int m = 0; m < 4; ++m) {
+    for (int m = 0; m < 6; ++m) {
       const auto id = ids[rng.uniform_index(ids.size())];
-      if (rng.uniform() < 0.5) {
-        EXPECT_TRUE(cached_zoo.attach_parameters(
+      if (rng.uniform() < 0.4) {
+        EXPECT_TRUE(writer.attach_parameters(
             id, random_blob(rng, 16 + rng.uniform_index(64))));
       } else {
-        EXPECT_TRUE(cached_zoo.reindex(id, random_pdf(rng, kWidth)));
+        EXPECT_TRUE(writer.reindex(id, random_pdf(rng, random_width())));
       }
     }
-    check_parity();
-  }
-
-  // The cached path must also be cheaper on the wire: a repeat rank through
-  // the cache moves fewer bytes than the same rank uncached.
-  const auto query = random_pdf(rng, kWidth);
-  (void)cached_manager.rank("braggnn", query);  // ensure warm
-  const auto cached_before = db.link().bytes_moved();
-  (void)cached_manager.rank("braggnn", query);
-  const auto cached_bytes = db.link().bytes_moved() - cached_before;
-  const auto uncached_before = db.link().bytes_moved();
-  (void)reference_manager.rank("braggnn", query);
-  const auto uncached_bytes = db.link().bytes_moved() - uncached_before;
-  EXPECT_LT(cached_bytes, uncached_bytes);
-}
-
-TEST(RankParity, ParallelAndSequentialPathsAreByteIdentical) {
-  store::DocStore db;
-  ModelZoo zoo(db);
-  util::Rng rng(555);
-  for (int i = 0; i < 200; ++i) {
-    zoo.publish("braggnn", "m" + std::to_string(i), random_pdf(rng, 8),
-                {1});
-  }
-  fairms::ModelManager parallel(zoo, 1.0, /*parallel_rank_threshold=*/1);
-  fairms::ModelManager sequential(
-      zoo, 1.0,
-      /*parallel_rank_threshold=*/std::numeric_limits<std::size_t>::max());
-  for (int q = 0; q < 8; ++q) {
-    const auto query = random_pdf(rng, 8);
-    const auto a = parallel.rank("braggnn", query);
-    const auto b = sequential.rank("braggnn", query);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].model_id, b[i].model_id) << i;
-      EXPECT_EQ(a[i].distance, b[i].distance) << i;
-    }
+    check_parity(round);
   }
 }
 
@@ -423,7 +417,7 @@ TEST(ConcurrentStress, CachedReadsUnderMutationAndEviction) {
                               random_pdf(seed_rng, 8),
                               random_blob(seed_rng, 2048)));
   }
-  fairms::ModelManager manager(zoo, 1.0, /*parallel_rank_threshold=*/1);
+  fairms::ModelManager manager(zoo, 1.0);
 
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> reads{0};
@@ -439,8 +433,10 @@ TEST(ConcurrentStress, CachedReadsUnderMutationAndEviction) {
         if (record == nullptr || record->parameters->empty()) {
           failures.fetch_add(1);
         }
+        // Every record stays rankable throughout: a row lost or duplicated
+        // by an index swap racing attach/reindex changes the count.
         const auto ranked = manager.rank("braggnn", random_pdf(rng, 8));
-        if (ranked.empty()) failures.fetch_add(1);
+        if (ranked.size() != kModels) failures.fetch_add(1);
         reads.fetch_add(1);
       }
     });
@@ -467,7 +463,8 @@ TEST(ConcurrentStress, CachedReadsUnderMutationAndEviction) {
   }
   threads.emplace_back([&] {
     // Publishes go to a different architecture so the readers' rank result
-    // set stays stable while the cache churns under the new inserts.
+    // set stays stable while the cache and the index churn under the new
+    // inserts.
     util::Rng rng(4000);
     int published = 0;
     while (!stop.load(std::memory_order_acquire) && published < 16) {
@@ -539,35 +536,60 @@ TEST(Regression, ReindexRejectsMalformedPdfs) {
 
 TEST(Regression, RankSkipsMalformedStoredPdfInsteadOfAborting) {
   store::DocStore db;
-  ModelZoo zoo(db);
-  const auto bad = zoo.publish("braggnn", "bad", {0.5, 0.5}, {1});
-  const auto good = zoo.publish("braggnn", "good", {0.4, 0.6}, {2});
-
-  // Corrupt the stored PDF *behind* the validation gate, the way a snapshot
-  // restored from before mass validation existed would present it.
+  store::DocId bad = 0;
+  store::DocId good = 0;
+  {
+    ModelZoo writer(db);
+    bad = writer.publish("braggnn", "bad", {0.5, 0.5}, {1});
+    good = writer.publish("braggnn", "good", {0.4, 0.6}, {2});
+  }
+  // Corrupt the stored PDF *behind* the validation gate, and add a legacy
+  // record written before revisions and param_bytes existed — the way a
+  // snapshot restored from an older build would present both.
+  store::Collection& collection = db.collection("model_zoo");
   store::Array zero_mass;
   zero_mass.emplace_back(0.0);
   zero_mass.emplace_back(0.0);
-  ASSERT_TRUE(db.collection("model_zoo")
-                  .update_field(bad, "train_pdf",
-                                store::Value(std::move(zero_mass))));
-  zoo.cache().clear();  // documented external-writer recovery
+  ASSERT_TRUE(collection.update_field(bad, "train_pdf",
+                                      store::Value(std::move(zero_mass))));
+  store::Array legacy_pdf;
+  legacy_pdf.emplace_back(0.45);
+  legacy_pdf.emplace_back(0.55);
+  store::Object legacy;
+  legacy["architecture"] = store::Value(std::string("braggnn"));
+  legacy["dataset_id"] = store::Value(std::string("legacy"));
+  legacy["train_pdf"] = store::Value(std::move(legacy_pdf));
+  legacy["parameters"] = store::Value(store::Binary{3});
+  const auto legacy_id =
+      collection.insert_one(store::Value(std::move(legacy)));
 
+  // A restored store is served by a new zoo: construction rebuilds the rank
+  // index, skipping (and logging) the bad record and shelving the legacy
+  // one as weight-bearing.
+  ModelZoo zoo(db);
   fairms::ModelManager manager(zoo, 1.0);
   // Previously: FAIRDMS_CHECK abort inside jsd normalized(). Now: the bad
-  // record is skipped (and logged), the good one still serves.
-  const auto ranked = manager.rank("braggnn", std::vector<double>{0.4, 0.6});
-  ASSERT_EQ(ranked.size(), 1u);
-  EXPECT_EQ(ranked.front().model_id, good);
-  const auto pick = manager.recommend("braggnn", std::vector<double>{0.4, 0.6});
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->model_id, good);
+  // record is skipped, the good one still serves.
+  for (int call = 0; call < 2; ++call) {
+    const auto ranked = manager.rank("braggnn", std::vector<double>{0.4, 0.6});
+    ASSERT_EQ(ranked.size(), 2u);
+    EXPECT_EQ(ranked[0].model_id, good);
+    EXPECT_EQ(ranked[1].model_id, legacy_id);
+    const auto pick =
+        manager.recommend("braggnn", std::vector<double>{0.4, 0.6});
+    ASSERT_TRUE(pick.has_value());
+    EXPECT_EQ(pick->model_id, good);
+  }
+  EXPECT_EQ(zoo.fetch(legacy_id)->revision, 0u);
+  EXPECT_GE(zoo.revision(), zoo.fetch(good)->revision);
 
-  // Second call exercises the cached malformed-sentinel path: same result,
-  // no re-fetch of the bad PDF.
-  const auto again = manager.rank("braggnn", std::vector<double>{0.4, 0.6});
-  ASSERT_EQ(again.size(), 1u);
-  EXPECT_EQ(again.front().model_id, good);
+  // Re-indexing the bad record with a valid PDF makes it rankable again; it
+  // ties with `good` at distance 0 and wins the tie on id.
+  ASSERT_TRUE(zoo.reindex(bad, {0.4, 0.6}));
+  const auto ranked = manager.rank("braggnn", std::vector<double>{0.4, 0.6});
+  ASSERT_EQ(ranked.size(), 3u);
+  EXPECT_EQ(ranked[0].model_id, bad);
+  EXPECT_EQ(ranked[1].model_id, good);
 }
 
 TEST(Regression, RankSurvivesMalformedInputPdf) {

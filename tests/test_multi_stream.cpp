@@ -2,10 +2,10 @@
 // stream never answer another's queries), per-stream snapshot version
 // monotonicity under concurrent ingest/lookup/retrain, per-stream shed
 // accounting (one saturated tenant sheds without touching the others),
-// unknown-stream structured answers, and the RetrainPolicy gates
-// (min-new-samples, cooldown, forced threshold). Carries the `service`
-// label, so the TSan CI job and the Release `--repeat until-fail:3` stress
-// step cover the concurrent paths.
+// unknown-stream structured answers, model-cache gauges counted once per
+// shared zoo, and the RetrainPolicy gates (min-new-samples, cooldown, forced
+// threshold). Carries the `service` label, so the TSan CI job and the
+// Release `--repeat until-fail:3` stress step cover the concurrent paths.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +17,7 @@
 
 #include "datagen/bragg.hpp"
 #include "fairds/fairds.hpp"
+#include "fairms/zoo.hpp"
 #include "service/data_service.hpp"
 #include "util/rng.hpp"
 
@@ -279,6 +280,29 @@ TEST_F(MultiStreamFixture, UnknownStreamIsAStructuredAnswerNotAnAbort) {
   auto ok = service.submit(
       service::LabelRequest{query.xs, 1e9, fast_labeler(), name(1)});
   EXPECT_EQ(ok.get().status, service::ServeStatus::kOk);
+}
+
+// Two tenants with different distance thresholds need two managers, but
+// the blob cache belongs to the zoo they share: its gauges count once.
+TEST_F(MultiStreamFixture, ModelCacheGaugesCountASharedZooOnce) {
+  fairms::ModelZoo zoo(db_);
+  const auto id = zoo.publish("braggnn", "shared", {0.5, 0.5}, {1, 2, 3});
+  const fairms::ModelManager strict(zoo, 0.5);
+  const fairms::ModelManager lax(zoo, 1.0);
+  service::DataService service({.workers = 1});
+  ASSERT_TRUE(service.add_stream(name(0), *streams_[0], {}, &strict));
+  ASSERT_TRUE(service.add_stream(name(1), *streams_[1], {}, &lax));
+
+  zoo.cache().clear();
+  for (int i = 0; i < 3; ++i) ASSERT_NE(zoo.fetch_cached(id), nullptr);
+  const auto cache = zoo.cache().stats();
+  ASSERT_GT(cache.hits, 0u);
+  ASSERT_GT(cache.misses, 0u);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.model_cache_hits, cache.hits);
+  EXPECT_EQ(stats.model_cache_misses, cache.misses);
+  EXPECT_EQ(stats.model_cache_evictions, cache.evictions);
+  EXPECT_EQ(stats.model_cache_bytes, cache.resident_bytes);
 }
 
 // RetrainPolicy gates: min-new-samples accumulates before the first check

@@ -1,0 +1,212 @@
+#!/usr/bin/env python3
+"""Alternating parent/change A/B runs of the fairDMS benchmark.
+
+Usage (from the change's repository root):
+
+    python3 tools/ab.py --parent ../parent --change . --topic rank_index \
+        --workloads reuse_steady,drift_storm,model_update --seeds 1-10 \
+        --what "..." --claim "..."
+    python3 tools/ab.py --summary BENCH_rank_index_ab.json --seeds 11-20
+
+For every workload and seed it runs one pair of
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+once in each tree (each builds into its own .bench_build/), where T is the
+run_seconds of BENCHMARK.json, the parent first on odd seeds and the change
+first on even ones, and appends both results to BENCH_<topic>_ab.json
+(schema: what, host, claim, runs[]) after every run, so an interrupted
+A/B keeps what it measured. An existing file is extended.
+
+It then prints, per side, the failed share of operations and the number of
+runs that failed their own checks. Those runs feed no median and win no
+pair. For each workload and end-to-end metric of BENCHMARK.json it prints
+the parent and change medians, each side's quartile spread over its median,
+and the change's win count over all pairs run. A metric is flagged
+`unresolved` when either side's spread exceeds the metric's bound, unless
+every change run reads better than every parent run. It is flagged `gain`
+when the change wins at least 9 pairs in 10, its median beats the parent's
+by more than the parent's quartile distance, and neither its failed share
+nor its count of failed runs is higher than the parent's.
+"""
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+
+
+def log(msg):
+    print(f"ab: {msg}", file=sys.stderr, flush=True)
+
+
+def parse_seeds(text):
+    """'1-10' or '1,3,5' or '1-3,7' -> sorted list of ints."""
+    seeds = set()
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.update(range(int(lo), int(hi or lo) + 1))
+    return sorted(seeds)
+
+
+def host_class():
+    model = "unknown CPU"
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return f"{os.cpu_count()} vCPU {model}"
+
+
+def run_once(tree, workload, seed, seconds, metric_names):
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        result = {}
+    run = {"workload": workload, "seed": seed,
+           "correct": proc.returncode == 0 and result.get("correct") is True,
+           "attempted": result.get("attempted", 0),
+           "failed": result.get("failed", 0)}
+    metrics = result.get("metrics", {})
+    for name in metric_names:
+        run[name] = metrics.get(name, {}).get("value")
+    return run
+
+
+def quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(runs, spec, workloads, seeds):
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    for workload in workloads:
+        chosen = [r for r in runs
+                  if r["workload"] == workload and r["seed"] in seeds]
+        pairs = {}
+        for r in chosen:
+            pairs.setdefault(r["seed"], {})[r["side"]] = r
+        pairs = [p for p in pairs.values() if len(p) == 2]
+        print(f"\n{workload}: {len(pairs)} pairs, seeds "
+              f"{min(seeds)}-{max(seeds)}")
+        share, bad, good = {}, {}, {}
+        for side in SIDES:
+            side_runs = [r for r in chosen if r["side"] == side]
+            attempted = sum(r["attempted"] for r in side_runs)
+            failed = sum(r["failed"] for r in side_runs)
+            share[side] = failed / attempted if attempted else 0.0
+            bad[side] = sum(not r["correct"] for r in side_runs)
+            good[side] = [r for r in side_runs if r["correct"]]
+            print(f"  {side:6s} runs {len(side_runs)}, failed checks "
+                  f"{bad[side]}, failed share {share[side]:.4g}")
+        no_worse = (share["change"] <= share["parent"]
+                    and bad["change"] <= bad["parent"])
+        if len(pairs) < 2:
+            continue
+        print(f"  {'metric':20s} {'parent':>10s} {'change':>10s} {'rel':>7s} "
+              f"{'spread p/c':>11s} {'wins':>6s}  verdict")
+        for name in better:
+            values = {side: [r[name] for r in good[side]
+                             if r.get(name) is not None] for side in SIDES}
+            if min(len(v) for v in values.values()) < 2:
+                continue
+            q = {side: quartiles(values[side]) for side in SIDES}
+            med = {side: q[side][1] for side in SIDES}
+            spread = {side: (q[side][2] - q[side][0]) / med[side]
+                      for side in SIDES}
+            sign = 1.0 if better[name] == "lower" else -1.0
+            wins = sum(1 for p in pairs
+                       if all(p[side]["correct"]
+                              and p[side].get(name) is not None
+                              for side in SIDES)
+                       and sign * (p["change"][name] - p["parent"][name]) < 0)
+            all_better = (max(sign * v for v in values["change"])
+                          < min(sign * v for v in values["parent"]))
+            gain = sign * (med["parent"] - med["change"])
+            verdicts = []
+            if max(spread.values()) > bound[name] and not all_better:
+                verdicts.append("unresolved")
+            if (no_worse and wins >= 0.9 * len(pairs)
+                    and gain > q["parent"][2] - q["parent"][0]):
+                verdicts.append("gain")
+            print(f"  {name:20s} {med['parent']:10.4g} {med['change']:10.4g} "
+                  f"{(med['change'] - med['parent']) / med['parent']:+7.1%} "
+                  f"{spread['parent']:5.2f}/{spread['change']:<5.2f} "
+                  f"{wins:3d}/{len(pairs):<2d}  {' '.join(verdicts)}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="parent tree (repository root)")
+    ap.add_argument("--change", help="change tree (repository root)")
+    ap.add_argument("--topic", help="writes BENCH_<topic>_ab.json")
+    ap.add_argument("--workloads",
+                    help="comma-separated; default: every workload in "
+                         "BENCHMARK.json")
+    ap.add_argument("--seeds", default="1-10")
+    ap.add_argument("--what", default="")
+    ap.add_argument("--host", default=host_class())
+    ap.add_argument("--claim", default="none (no-regression check only)")
+    ap.add_argument("--summary", metavar="JSON",
+                    help="only summarize an existing A/B file")
+    args = ap.parse_args()
+
+    if args.summary:
+        spec_root = args.change or "."
+    elif args.parent and args.change and args.topic:
+        spec_root = args.change
+    else:
+        ap.error("give --parent, --change and --topic, or --summary")
+    with open(os.path.join(spec_root, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in spec["workloads"]])
+    seeds = parse_seeds(args.seeds)
+
+    if args.summary:
+        with open(args.summary) as f:
+            summarize(json.load(f)["runs"], spec, workloads, seeds)
+        return 0
+
+    out = f"BENCH_{args.topic}_ab.json"
+    if os.path.exists(out):
+        with open(out) as f:
+            doc = json.load(f)
+    else:
+        doc = {"what": args.what, "host": args.host, "claim": args.claim,
+               "runs": []}
+    metric_names = [m["name"] for m in spec["end_to_end"]]
+    trees = {"parent": args.parent, "change": args.change}
+    for workload in workloads:
+        for seed in seeds:
+            order = SIDES if seed % 2 == 1 else tuple(reversed(SIDES))
+            for side in order:
+                run = run_once(trees[side], workload, seed,
+                               spec["run_seconds"], metric_names)
+                doc["runs"].append({**run, "side": side})
+                with open(out, "w") as f:
+                    json.dump(doc, f, indent=1)
+                    f.write("\n")
+                log(f"{workload} seed {seed} {side}: "
+                    + ", ".join(f"{n}={run[n]:.4g}" for n in metric_names
+                                if run[n] is not None)
+                    + ("" if run["correct"] else " FAILED CHECKS"))
+    summarize(doc["runs"], spec, workloads, seeds)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
