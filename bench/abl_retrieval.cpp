@@ -88,15 +88,6 @@ double topk_overlap(const fairdms::nn::Tensor& history_reps,
   }
   return total / static_cast<double>(straight_reps.dim(0));
 }
-
-/// First `n` rows of a [N,1,S,S] batch as their own tensor.
-fairdms::nn::Tensor head_rows(const fairdms::nn::Tensor& xs, std::size_t n) {
-  if (n >= xs.dim(0)) return xs;
-  const std::size_t row = xs.numel() / xs.dim(0);
-  fairdms::nn::Tensor out({n, xs.dim(1), xs.dim(2), xs.dim(3)});
-  std::copy_n(xs.data(), n * row, out.data());
-  return out;
-}
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -203,7 +194,7 @@ int main(int argc, char** argv) {
     fairds::FairDS ds(config, db);
     // Embedding training cost is not under test: train on a capped subset,
     // then ingest (and search over) the full history.
-    ds.train_system(head_rows(history.xs, preset.reuse_train_subset));
+    ds.train_system(bench::head_rows(history.xs, preset.reuse_train_subset));
     ds.ingest(history.xs, history.ys, "history");
 
     // A huge threshold makes every query a reuse hit, so the measurement is

@@ -6,15 +6,13 @@
 // are *shapes and ratios*, not absolute seconds.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "datagen/bragg.hpp"
-#include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace fairdms::bench {
 
@@ -66,62 +64,14 @@ inline datagen::HedmTimeline standard_timeline(std::size_t n_scans,
   return datagen::HedmTimeline(config);
 }
 
-// --- closed-loop workload machinery (mixed_workload / net_workload) ---------
-// TPC-C idioms shared by the transaction drivers: NURand hot-key skew,
-// exact-proportion shuffled decks, and per-op latency tallies reported as
-// p50/p99/p999. Both the in-process and the wire-level driver draw from
-// these so their offered mixes are comparable by construction.
-
-/// TPC-C NURand(A, 0, n-1): ORing two uniform draws concentrates results on
-/// a hot subset of the key space; C decorrelates the hot set from the key
-/// order. `a` is the TPC-C A constant sized to the key space (e.g. 7 for a
-/// 16-wide space).
-inline std::size_t nurand(util::Rng& rng, std::size_t a, std::size_t n,
-                          std::size_t c) {
-  const std::size_t hot = rng.uniform_index(a + 1);
-  const std::size_t base = rng.uniform_index(n);
-  return ((hot | base) + c) % n;
-}
-
-/// An exact-proportion transaction deck: `txns` op indices with
-/// floor(txns * weight / 100) slots per op (weights in percent), padded to
-/// `txns` with `fill_op`, then shuffled — so every client offers exactly
-/// the preset's mix, not a sampled approximation of it.
-inline std::vector<std::size_t> build_deck(
-    util::Rng& rng, std::size_t txns,
-    std::span<const std::size_t> weights_pct, std::size_t fill_op) {
-  std::vector<std::size_t> deck;
-  deck.reserve(txns);
-  for (std::size_t op = 0; op < weights_pct.size(); ++op) {
-    deck.insert(deck.end(), txns * weights_pct[op] / 100, op);
-  }
-  while (deck.size() < txns) deck.push_back(fill_op);
-  rng.shuffle(deck);
-  return deck;
-}
-
-/// Per-client, per-op measurements; merged after the join (threads) or the
-/// wait (processes). `shed` counts explicit non-kOk outcomes — they are
-/// excluded from the latency percentiles so shedding cannot deflate them.
-struct OpTally {
-  std::uint64_t submitted = 0;
-  std::uint64_t answered = 0;
-  std::uint64_t shed = 0;
-  std::vector<double> latencies;  ///< seconds, answered requests only
-
-  void merge(const OpTally& other) {
-    submitted += other.submitted;
-    answered += other.answered;
-    shed += other.shed;
-    latencies.insert(latencies.end(), other.latencies.begin(),
-                     other.latencies.end());
-  }
-};
-
-/// Latency percentile in milliseconds (0 when nothing was answered).
-inline double pct_ms(const std::vector<double>& xs, double p) {
-  if (xs.empty()) return 0.0;
-  return util::percentile(xs, p) * 1e3;
+/// First `n` rows of a [N, 1, S, S] batch as their own tensor (all of
+/// `xs` when it has no more than `n`).
+inline nn::Tensor head_rows(const nn::Tensor& xs, std::size_t n) {
+  if (n >= xs.dim(0)) return xs;
+  const std::size_t row = xs.numel() / xs.dim(0);
+  nn::Tensor out({n, xs.dim(1), xs.dim(2), xs.dim(3)});
+  std::copy_n(xs.data(), n * row, out.data());
+  return out;
 }
 
 }  // namespace fairdms::bench

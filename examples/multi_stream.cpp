@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
   // trigger; the service-wide cap bounds how many may retrain at once (set
   // to the tenant count here so the demo shows all three policies firing —
   // a production host would set it below that and let `capped` absorb the
-  // excess, as bench/multi_stream_workload does).
+  // excess).
   service::DataService service({.workers = workers,
                                 .max_pending = 64,
                                 .max_concurrent_retrains = 3});

@@ -5,11 +5,11 @@
 // seeded ModelZoo), then runs net::Server over a DataService until SIGTERM
 // / SIGINT (or --duration elapses) and exits 0 after a graceful drain —
 // in-flight requests complete, buffered responses flush, then sockets
-// close. bench/net_workload.cpp --connect drives this binary from separate
+// close. `bench/loadgen wire --connect` drives this binary from separate
 // client processes; CI runs exactly that pair.
 //
 // Build & run:  ./build/examples/serve --port 7641
-//               ./build/bench/net_workload --preset small --connect 7641
+//               ./build/bench/loadgen wire --preset small --connect 7641
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>

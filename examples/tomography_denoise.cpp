@@ -64,14 +64,22 @@ int main() {
                                   {config.dose / 100.0, 1.0 - config.dose / 100.0},
                                   nn::save_parameters(model.net));
   const std::string snapshot_dir = "/tmp/fairdms_tomo_campaign";
-  store::save_store(db, snapshot_dir);
+  if (const auto saved = store::try_save_store(db, snapshot_dir);
+      !saved.ok()) {
+    std::fprintf(stderr, "snapshot failed: %s\n", saved.error.c_str());
+    return 1;
+  }
   std::printf("published TomoNet as zoo model #%llu and snapshotted the "
               "store to %s\n",
               static_cast<unsigned long long>(zoo_id), snapshot_dir.c_str());
 
   // A later campaign reloads the store and retrieves the model.
   store::DocStore later;
-  store::load_store(later, snapshot_dir);
+  if (const auto loaded = store::try_load_store(later, snapshot_dir);
+      !loaded.ok()) {
+    std::fprintf(stderr, "reload failed: %s\n", loaded.error.c_str());
+    return 1;
+  }
   fairms::ModelZoo later_zoo(later);
   const auto record = later_zoo.fetch(zoo_id);
   models::TaskModel revived = models::make_tomonet(0);

@@ -36,7 +36,7 @@ struct FairDMSConfig {
   nn::TrainConfig train;            ///< convergence target applies to all arms
   double fine_tune_lr = 5e-4;       ///< smaller LR when starting from a model
   double scratch_lr = 1e-3;
-  /// Byte budget of the fairMS parameter-blob/PDF cache; repeat foundation
+  /// Byte budget of the fairMS parameter-blob cache; repeat foundation
   /// loads within the budget cost zero store traffic. 0 disables caching.
   std::size_t model_cache_bytes = fairms::ModelZoo::kDefaultCacheBytes;
   std::uint64_t seed = 99;

@@ -17,7 +17,7 @@
 // intelligible. A server speaking another version refuses the hello, and
 // connect() fails cleanly.
 // The client is single-connection and not thread-safe: one Client per
-// thread (or process — bench/net_workload.cpp forks around it).
+// thread (or process — `bench/loadgen wire` forks around it).
 #pragma once
 
 #include <cstdint>

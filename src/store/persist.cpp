@@ -6,7 +6,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "util/check.hpp"
 #include "util/fsio.hpp"
 
 namespace fairdms::store {
@@ -300,23 +299,6 @@ PersistResult try_load_store(DocStore& db, const std::string& directory) {
     if (!r.ok()) return r;
   }
   return {};
-}
-
-void save_store(const DocStore& db, const std::string& directory) {
-  const PersistResult r = try_save_store(db, directory);
-  FAIRDMS_CHECK(r.ok(), r.error);
-}
-
-void load_store(DocStore& db, const std::string& directory) {
-  const PersistResult r = try_load_store(db, directory);
-  FAIRDMS_CHECK(r.ok(), r.error);
-}
-
-std::vector<std::string> snapshot_collections(const std::string& directory) {
-  std::vector<std::string> names;
-  const PersistResult r = try_snapshot_collections(directory, names);
-  FAIRDMS_CHECK(r.ok(), r.error);
-  return names;
 }
 
 }  // namespace fairdms::store

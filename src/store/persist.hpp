@@ -9,10 +9,8 @@
 // Durability: every file is written tmp + fsync + rename (util/fsio.hpp),
 // collection files before the manifest, so a writer killed at any point
 // leaves each file either fully old or fully new — the directory is always
-// loadable. Corruption: the `try_` entry points parse untrusted bytes with
-// full bounds checking and report failures as values; the legacy
-// entry points wrap them and abort, preserving the original fail-fast
-// call sites.
+// loadable. Corruption: every entry point parses untrusted bytes with full
+// bounds checking and reports failures as values; none aborts.
 #pragma once
 
 #include <string>
@@ -56,12 +54,5 @@ struct PersistResult {
 /// Collections listed in a snapshot manifest (without loading documents).
 [[nodiscard]] PersistResult try_snapshot_collections(
     const std::string& directory, std::vector<std::string>& names);
-
-/// Abort-on-failure wrappers around the try_ entry points, for call sites
-/// where a snapshot failure is unrecoverable operator error (the seed
-/// behavior).
-void save_store(const DocStore& db, const std::string& directory);
-void load_store(DocStore& db, const std::string& directory);
-std::vector<std::string> snapshot_collections(const std::string& directory);
 
 }  // namespace fairdms::store

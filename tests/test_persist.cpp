@@ -31,10 +31,10 @@ TEST(Persist, StoreRoundTripPreservesDocumentsAndIds) {
   // A second collection, un-indexed.
   original.collection("notes").insert_one(Value(Object{
       {"text", Value("hello")}}));
-  store::save_store(original, dir);
+  ASSERT_TRUE(store::try_save_store(original, dir).ok());
 
   store::DocStore restored;
-  store::load_store(restored, dir);
+  ASSERT_TRUE(store::try_load_store(restored, dir).ok());
   auto& rcol = restored.collection("samples");
   EXPECT_EQ(rcol.size(), 50u);
   EXPECT_TRUE(rcol.has_index("cluster"));
@@ -62,8 +62,9 @@ TEST(Persist, SnapshotCollectionsListsManifest) {
   store::DocStore db;
   db.collection("alpha").insert_one(Value(Object{}));
   db.collection("beta").insert_one(Value(Object{}));
-  store::save_store(db, dir);
-  const auto names = store::snapshot_collections(dir);
+  ASSERT_TRUE(store::try_save_store(db, dir).ok());
+  std::vector<std::string> names;
+  ASSERT_TRUE(store::try_snapshot_collections(dir, names).ok());
   EXPECT_EQ(names, (std::vector<std::string>{"alpha", "beta"}));
 }
 
@@ -78,11 +79,11 @@ TEST(Persist, ModelZooSurvivesRestart) {
     fairms::ModelZoo zoo(db);
     id = zoo.publish("braggnn", "scan_7", {0.25, 0.75},
                      nn::save_parameters(net));
-    store::save_store(db, dir);
+    ASSERT_TRUE(store::try_save_store(db, dir).ok());
   }
   // "Restart": fresh process state, reload.
   store::DocStore db;
-  store::load_store(db, dir);
+  ASSERT_TRUE(store::try_load_store(db, dir).ok());
   fairms::ModelZoo zoo(db);
   EXPECT_EQ(zoo.size(), 1u);
   const auto record = zoo.fetch(id);
@@ -99,19 +100,12 @@ TEST(Persist, ModelZooSurvivesRestart) {
       manager.recommend("braggnn", std::vector<double>{0.3, 0.7}).has_value());
 }
 
-TEST(PersistDeathTest, RestoreIntoNonEmptyCollectionAborts) {
-  const std::string dir = ::testing::TempDir() + "/fairdms_snap_nonempty";
-  store::DocStore db;
-  db.collection("c").insert_one(Value(Object{}));
-  store::save_store(db, dir);
-  store::DocStore target;
-  target.collection("c").insert_one(Value(Object{}));
-  EXPECT_DEATH(store::load_store(target, dir), "non-empty");
-}
-
-TEST(PersistDeathTest, MissingManifestAborts) {
-  EXPECT_DEATH(store::snapshot_collections("/nonexistent/fairdms_dir"),
-               "manifest");
+TEST(Persist, MissingManifestIsAnError) {
+  std::vector<std::string> names;
+  const auto r =
+      store::try_snapshot_collections("/nonexistent/fairdms_dir", names);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("manifest"), std::string::npos) << r.error;
 }
 
 }  // namespace

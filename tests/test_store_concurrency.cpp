@@ -260,7 +260,7 @@ TEST(StoreConcurrency, BatchedFanoutRacesSingleDocWrites) {
 }
 
 TEST(StoreConcurrency, SaveStoreDuringIngestProducesLoadableSnapshot) {
-  // save_store on a live collection is a fuzzy snapshot, but it must
+  // try_save_store on a live collection is a fuzzy snapshot, but it must
   // always be internally consistent: the captured doc count frames the
   // file and next_id bounds every captured id, so loading never trips the
   // restore checks regardless of how the scan raced the writers.
@@ -280,9 +280,11 @@ TEST(StoreConcurrency, SaveStoreDuringIngestProducesLoadableSnapshot) {
     }
   });
   for (int round = 0; round < 5; ++round) {
-    store::save_store(db, dir);
     store::DocStore loaded;
-    store::load_store(loaded, dir);  // restore aborts on any inconsistency
+    const auto saved = store::try_save_store(db, dir);
+    const auto r = saved.ok() ? store::try_load_store(loaded, dir) : saved;
+    EXPECT_TRUE(r.ok()) << r.error;  // restore reports any inconsistency
+    if (!r.ok()) break;  // still join the writer below
     auto& lcol = loaded.collection("live");
     EXPECT_GE(lcol.size(), 1u);
     EXPECT_LE(lcol.next_id(), col.next_id());

@@ -516,10 +516,10 @@ TEST(LogDurability, SnapshotsRoundTripAcrossEngines) {
   util::Rng rng(99);
   for (int i = 0; i < 32; ++i) col.insert_one(random_doc(rng));
   col.remove_one(3);
-  store::save_store(src, snap);
+  ASSERT_TRUE(store::try_save_store(src, snap).ok());
 
   store::DocStore mem_dst;
-  store::load_store(mem_dst, snap);
+  ASSERT_TRUE(store::try_load_store(mem_dst, snap).ok());
   auto& mem_col = mem_dst.collection("samples");
   EXPECT_STREQ(mem_col.engine_name(), "mem");
   EXPECT_EQ(mem_col.size(), col.size());
@@ -530,7 +530,7 @@ TEST(LogDurability, SnapshotsRoundTripAcrossEngines) {
   store::DocStoreConfig log_dst_config;
   log_dst_config.engine = log_config(dir.path + "/dst_data");
   store::DocStore log_dst(log_dst_config);
-  store::load_store(log_dst, snap);
+  ASSERT_TRUE(store::try_load_store(log_dst, snap).ok());
   auto& log_col = log_dst.collection("samples");
   EXPECT_STREQ(log_col.engine_name(), "log");
   EXPECT_EQ(log_col.size(), col.size());

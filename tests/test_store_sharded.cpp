@@ -329,12 +329,12 @@ TEST(ShardPlumbing, PersistRoundTripsAcrossShardCounts) {
   util::Rng rng(10);
   for (int i = 0; i < 64; ++i) col.insert_one(random_doc(rng));
   col.remove_one(5);
-  store::save_store(src, dir);
+  ASSERT_TRUE(store::try_save_store(src, dir).ok());
 
   // Load into stores with different shard counts; contents must agree.
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     store::DocStore dst(store::DocStoreConfig{.shards = shards});
-    store::load_store(dst, dir);
+    ASSERT_TRUE(store::try_load_store(dst, dir).ok());
     auto& rcol = dst.collection("samples");
     EXPECT_EQ(rcol.shard_count(), shards);
     EXPECT_EQ(rcol.size(), col.size());
