@@ -133,9 +133,10 @@ int main(int argc, char** argv) {
     const nn::Tensor pixel_rotated =
         rotated.reshaped({preset.fragility_queries, 225});
     // Embedding space: fairDS's learned representation.
-    const nn::Tensor emb_history = ds.embed(history.xs);
-    const nn::Tensor emb_straight = ds.embed(queries.xs);
-    const nn::Tensor emb_rotated = ds.embed(rotated);
+    const auto snap = ds.snapshot();
+    const nn::Tensor emb_history = snap->embed(history.xs);
+    const nn::Tensor emb_straight = snap->embed(queries.xs);
+    const nn::Tensor emb_rotated = snap->embed(rotated);
 
     constexpr std::size_t kTop = 10;
     bench::print_row("method", "top10_ovl_pct");
@@ -169,8 +170,9 @@ int main(int argc, char** argv) {
     fairds::FairDS ds(config, db);
     ds.train_system(history.xs);
     ds.ingest(history.xs, history.ys, "history");
+    const auto snap = ds.snapshot();
     util::WallTimer ds_timer;
-    bench::do_not_optimize(ds.lookup(queries.xs, kSeed + 4));
+    bench::do_not_optimize(snap->lookup(queries.xs, kSeed + 4));
     const double ds_ms = ds_timer.millis() / 32.0;
     bench::print_row(history_size, pixel_ms, ds_ms);
   }
@@ -208,9 +210,10 @@ int main(int argc, char** argv) {
         ds, db, queries.xs, 1e9, never_called));
     const double legacy_ms = legacy_timer.millis() / nq;
 
+    const auto snap = ds.snapshot();
     util::WallTimer index_timer;
     bench::do_not_optimize(
-        ds.lookup_or_label(queries.xs, 1e9, never_called));
+        snap->lookup_or_label(queries.xs, 1e9, never_called));
     const double index_ms = index_timer.millis() / nq;
 
     bench::print_row(history_size, legacy_ms, index_ms,

@@ -12,7 +12,8 @@
 //       read the in-memory index and move zero bytes.
 //   (3) byte-budget pressure: hit rate and evictions when the blob working
 //       set exceeds the cache budget — the knob behind
-//       StreamConfig.model_cache_bytes.
+//       FairDMSConfig.model_cache_bytes (a ModelZoo's construction-time
+//       cache budget).
 //
 // The zoo is synthetic (random PDFs, fixed-size weight blobs): this bench
 // measures the registry and its cache, not training. The RemoteLink uses

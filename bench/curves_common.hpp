@@ -26,7 +26,7 @@ inline CurveResult run_curves(const ZooHarness& harness, const ZooSpec& spec,
                               const nn::Batchset& train,
                               const nn::Batchset& val, std::size_t epochs,
                               double target, double fine_tune_lr) {
-  const auto pdf = harness.ds->distribution(train.xs);
+  const auto pdf = harness.ds->snapshot()->distribution(train.xs);
   fairms::ModelManager manager(*harness.zoo, 1.0);
   const auto ranked = manager.rank(spec.architecture, pdf);
 

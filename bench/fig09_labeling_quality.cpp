@@ -64,13 +64,12 @@ int main() {
 
   // Threshold T: median nearest-stored distance of a probe set, so roughly
   // half of weakly matched samples fall back to the Voigt code.
-  const nn::Tensor probe_emb = ds.embed(br.xs);
+  const auto snap = ds.snapshot();
+  const nn::Tensor probe_emb = snap->embed(br.xs);
   double threshold;
   {
     // Use a generous quantile of within-history distances as T.
     std::vector<double> dists;
-    const auto pdf = ds.distribution(br.xs);
-    (void)pdf;
     // Probe: distance of each BR sample to its nearest reused label is not
     // directly exposed; approximate T from embedding-space scale.
     double scale = 0.0;
@@ -97,7 +96,7 @@ int main() {
   // (b) fairDS pseudo-labels: per-sample reuse with fallback to Voigt.
   fairds::ReuseStats stats;
   util::WallTimer fairds_timer;
-  const nn::Batchset reused = ds.lookup_or_label(
+  const nn::Batchset reused = snap->lookup_or_label(
       br.xs, threshold,
       [](const nn::Tensor& xs) { return labeling::label_patches(xs); },
       &stats);

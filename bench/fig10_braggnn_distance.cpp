@@ -41,7 +41,7 @@ int main() {
   for (const std::size_t scan : test_scans) {
     const nn::Batchset test =
         timeline.dataset_at(scan, kEvalSamples, kSeed + 77);
-    const auto pdf = harness.ds->distribution(test.xs);
+    const auto pdf = harness.ds->snapshot()->distribution(test.xs);
     std::printf("\ntest dataset @ scan %zu (%s deformation)\n", scan,
                 scan < kDeformationScan ? "before" : "after");
     bench::print_row("zoo_model", "jsd_distance", "error_px");

@@ -50,7 +50,7 @@ int main() {
   for (const std::size_t step : test_steps) {
     const nn::Batchset test =
         timeline.dataset_at(step, kEvalSamples, kSeed + 77, data_config);
-    const auto pdf = harness.ds->distribution(test.xs);
+    const auto pdf = harness.ds->snapshot()->distribution(test.xs);
     std::printf("\ntest dataset @ timeline step %zu\n", step);
     bench::print_row("zoo_model", "jsd_distance", "error_1e3");
     std::vector<double> jsds, errs;

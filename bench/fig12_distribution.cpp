@@ -30,7 +30,7 @@ int main() {
       });
 
   const nn::Batchset input = timeline.dataset_at(3, 96, kSeed + 7);
-  const auto input_pdf = harness.ds->distribution(input.xs);
+  const auto input_pdf = harness.ds->snapshot()->distribution(input.xs);
   fairms::ModelManager manager(*harness.zoo, 1.0);
   const auto ranked = manager.rank("braggnn", input_pdf);
   const auto best = harness.zoo->fetch(ranked.front().model_id);

@@ -65,14 +65,15 @@ int main() {
   std::size_t triggers = 0;
   for (std::size_t i = kWarmup; i < kDatasets; ++i) {
     const auto data = timeline.dataset_at(i, kSamples, kSeed + 1);
-    const double before = ds_static->certainty(data.xs) * 100.0;
+    const double before = ds_static->snapshot()->certainty(data.xs) * 100.0;
 
-    const double after_pre = ds_triggered->certainty(data.xs) * 100.0;
+    const double after_pre =
+        ds_triggered->snapshot()->certainty(data.xs) * 100.0;
     const bool retrained = ds_triggered->maybe_retrain(data.xs);
     if (retrained) ++triggers;
-    const double after = retrained
-                             ? ds_triggered->certainty(data.xs) * 100.0
-                             : after_pre;
+    const double after =
+        retrained ? ds_triggered->snapshot()->certainty(data.xs) * 100.0
+                  : after_pre;
     // The triggered system also keeps ingesting newly labeled data.
     ds_triggered->ingest(data.xs, data.ys, "seq_" + std::to_string(i));
     bench::print_row(i, before, after,

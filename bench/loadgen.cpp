@@ -298,9 +298,10 @@ World::World(const Preset& p, bool serve)
         .get();
   }
   // Real rank candidates from the first transaction on.
+  const auto snap = streams[0]->snapshot();
   for (std::size_t m = 0; m < 4; ++m) {
     zoo.publish("braggnn", "seed_" + std::to_string(m),
-                streams[0]->distribution(
+                snap->distribution(
                     timeline.dataset_at(2 + m, 32, p.seed + m).xs),
                 std::vector<std::uint8_t>(kBlobBytes, 0x42));
   }
@@ -380,6 +381,7 @@ class LocalTarget {
         stream_(world.names[stream]),
         labeler_(labeler(world.label_width)) {
     const auto timeline = bench::standard_timeline(12, 7);
+    const auto snap = ds_.snapshot();
     const std::vector<Txn>& deck = in.decks[client];
     for (std::size_t t = 0; t < deck.size(); ++t) {
       const std::string id =
@@ -393,7 +395,7 @@ class LocalTarget {
                            {}, {}});
       } else if (deck[t].op == Op::kPublish) {
         writes_.push_back(
-            {"publish_" + id, {}, ds_.distribution(in.pools[deck[t].pool].xs),
+            {"publish_" + id, {}, snap->distribution(in.pools[deck[t].pool].xs),
              std::vector<std::uint8_t>(kBlobBytes,
                                        static_cast<std::uint8_t>(t))});
       }

@@ -87,7 +87,7 @@ inline ZooHarness build_zoo(
             rng);
     h.model_ids.push_back(h.zoo->publish(
         spec.architecture, "zoo_" + std::to_string(i),
-        h.ds->distribution(h.zoo_datasets[i].xs),
+        h.ds->snapshot()->distribution(h.zoo_datasets[i].xs),
         nn::save_parameters(model.net)));
   }
   return h;

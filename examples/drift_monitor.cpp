@@ -44,7 +44,8 @@ int main() {
               config.certainty_threshold * 100.0);
   for (std::size_t scan = 3; scan < timeline_config.n_scans; ++scan) {
     const auto data = timeline.dataset_at(scan, 96, 8);
-    const double certainty = data_service.certainty(data.xs) * 100.0;
+    const double certainty =
+        data_service.snapshot()->certainty(data.xs) * 100.0;
     const bool retrained = data_service.maybe_retrain(data.xs);
     data_service.ingest(data.xs, data.ys, "scan_" + std::to_string(scan));
     std::printf("  scan %2zu: certainty %5.1f%%%s\n", scan, certainty,

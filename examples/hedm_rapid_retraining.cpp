@@ -102,7 +102,7 @@ int main() {
     core::UpdateReport report;
     workflow::Flow flow("rapid_update");
     flow.add_task("snapshot_distribution", [&] {
-      (void)data_service.distribution(new_data.xs);
+      (void)data_service.snapshot()->distribution(new_data.xs);
     });
     flow.add_task(
         "update_model",

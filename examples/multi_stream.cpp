@@ -186,11 +186,14 @@ int main(int argc, char** argv) {
   // Shared zoo; each architecture gets one seed model so recommend() has
   // something to rank per tenant.
   fairms::ModelZoo zoo(db);
-  zoo.publish("braggnn", "seed", bragg_ds.distribution(bragg_history.xs),
+  zoo.publish("braggnn", "seed",
+              bragg_ds.snapshot()->distribution(bragg_history.xs),
               std::vector<std::uint8_t>(2048, 0x42));
-  zoo.publish("cookienetae", "seed", cb_ds.distribution(cb_history.xs),
+  zoo.publish("cookienetae", "seed",
+              cb_ds.snapshot()->distribution(cb_history.xs),
               std::vector<std::uint8_t>(2048, 0x43));
-  zoo.publish("tomonet", "seed", tomo_ds.distribution(tomo_history.xs),
+  zoo.publish("tomonet", "seed",
+              tomo_ds.snapshot()->distribution(tomo_history.xs),
               std::vector<std::uint8_t>(2048, 0x44));
   fairms::ModelManager manager(zoo, /*distance_threshold=*/1.0);
 

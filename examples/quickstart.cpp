@@ -33,7 +33,8 @@ int main() {
   data_service.train_system(history.xs);
   data_service.ingest(history.xs, history.ys, "experiment_0");
   std::printf("fairDS ready: %zu labeled samples in %zu clusters\n",
-              data_service.stored_count(), data_service.n_clusters());
+              data_service.stored_count(),
+              data_service.snapshot()->n_clusters());
 
   // --- 3: seed the model Zoo ----------------------------------------------
   core::FairDMSConfig config;

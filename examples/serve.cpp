@@ -126,9 +126,10 @@ int main(int argc, char** argv) {
   fairds::FairDS& ds = *streams.front();
 
   fairms::ModelZoo zoo(db);
+  const auto snap = ds.snapshot();
   for (std::size_t m = 0; m < 4; ++m) {
     zoo.publish("braggnn", "seed_" + std::to_string(m),
-                ds.distribution(timeline.dataset_at(2 + m, 32, 6161 + m).xs),
+                snap->distribution(timeline.dataset_at(2 + m, 32, 6161 + m).xs),
                 std::vector<std::uint8_t>(4096, 0x42));
   }
   fairms::ModelManager manager(zoo, /*distance_threshold=*/1.0);

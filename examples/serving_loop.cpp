@@ -52,10 +52,10 @@ int main() {
   fairds::FairDS data_service(ds_config, db);
   data_service.train_system(history.xs);
   data_service.ingest(history.xs, history.ys, "scan_0");
+  const auto snap = data_service.snapshot();
   std::printf("fairDS ready: %zu samples, %zu clusters, model v%llu\n",
-              data_service.stored_count(), data_service.n_clusters(),
-              static_cast<unsigned long long>(
-                  data_service.snapshot()->version()));
+              data_service.stored_count(), snap->n_clusters(),
+              static_cast<unsigned long long>(snap->version()));
 
   // Model plane: register a few historical models keyed by the cluster
   // PDFs of their training scans (dummy weight blobs — this demo exercises
@@ -66,7 +66,7 @@ int main() {
   for (std::size_t scan : {0u, 2u, 4u}) {
     const nn::Batchset scan_data = timeline.dataset_at(scan, 96, 50 + scan);
     zoo.publish("braggnn", "scan_" + std::to_string(scan),
-                data_service.distribution(scan_data.xs),
+                snap->distribution(scan_data.xs),
                 std::vector<std::uint8_t>(4096, static_cast<std::uint8_t>(scan)));
   }
   fairms::ModelManager manager(zoo, /*distance_threshold=*/0.9);

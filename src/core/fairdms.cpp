@@ -7,17 +7,17 @@
 
 namespace fairdms::core {
 
-FairDMS::FairDMS(FairDMSConfig config, fairds::FairDS& data_service,
+FairDMS::FairDMS(FairDMSConfig config, fairds::FairDS& ds,
                  store::DocStore& db)
     : config_(std::move(config)),
-      ds_(&data_service),
+      ds_(&ds),
       zoo_(db, config_.model_cache_bytes),
-      manager_(zoo_, config_.distance_threshold),
-      // The update workflow submits one request at a time, so two workers
-      // suffice; background retrain stays an explicit caller decision here.
-      service_(service::DataServiceConfig{.workers = 2}) {
-  service_.add_stream(service::kDefaultStreamName, data_service, {},
-                      &manager_);
+      manager_(zoo_, config_.distance_threshold) {}
+
+std::shared_ptr<const fairds::Snapshot> FairDMS::snapshot() const {
+  auto snap = ds_->snapshot();
+  FAIRDMS_CHECK(snap != nullptr, "FairDMS: fairDS not trained");
+  return snap;
 }
 
 double FairDMS::charge_transfer(const std::string& src, const std::string& dst,
@@ -34,7 +34,7 @@ store::DocId FairDMS::train_and_publish(models::TaskModel& model,
   nn::Adam opt(model.net, config_.scratch_lr);
   nn::fit(model.net, opt, train, val, config_.train, rng);
   return zoo_.publish(model.architecture, dataset_id,
-                      ds_->distribution(train.xs),
+                      snapshot()->distribution(train.xs),
                       nn::save_parameters(model.net));
 }
 
@@ -73,11 +73,7 @@ UpdateReport FairDMS::update_model(
       train.xs = new_xs;
       train.ys = conventional_labeler(new_xs);
     } else {
-      train = service_
-                  .submit(service::LookupRequest{
-                      new_xs, config_.seed + update_counter_})
-                  .get()
-                  .batch;
+      train = snapshot()->lookup(new_xs, config_.seed + update_counter_);
     }
     report.label_seconds = timer.seconds();
   }
@@ -91,20 +87,18 @@ UpdateReport FairDMS::update_model(
   double lr = config_.scratch_lr;
   if (strategy == UpdateStrategy::kFairDMS) {
     util::WallTimer timer;
-    const auto recommendation =
-        service_.submit(service::RecommendRequest{config_.architecture,
-                                                  new_xs})
-            .get();
+    const auto pick = manager_.recommend(
+        config_.architecture, snapshot()->distribution(new_xs));
     report.recommend_seconds = timer.seconds();
-    if (recommendation.pick.has_value()) {
+    if (pick.has_value()) {
       // Cached load: a foundation picked repeatedly (the steady state when
       // the data distribution is stable) transfers zero store bytes after
       // its first fetch.
-      const auto record = zoo_.fetch_cached(recommendation.pick->model_id);
+      const auto record = zoo_.fetch_cached(pick->model_id);
       FAIRDMS_CHECK(record != nullptr, "recommended model vanished");
       nn::load_parameters(model.net, *record->parameters);
       report.fine_tuned = true;
-      report.foundation_distance = recommendation.pick->distance;
+      report.foundation_distance = pick->distance;
       lr = config_.fine_tune_lr;
     }
     // No model within threshold => fall through to training from scratch
@@ -130,7 +124,7 @@ UpdateReport FairDMS::update_model(
   report.published_model =
       zoo_.publish(config_.architecture,
                    "update_" + std::to_string(update_counter_),
-                   ds_->distribution(new_xs), std::move(blob));
+                   snapshot()->distribution(new_xs), std::move(blob));
 
   report.total_seconds = report.label_seconds + report.recommend_seconds +
                          report.train_seconds + report.transfer_seconds;

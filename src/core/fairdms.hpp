@@ -10,9 +10,15 @@
 //   kRetrain      — fairDS pseudo-labels + train from scratch
 //   kConventional — caller-supplied conventional labeler (pseudo-Voigt)
 //                   + train from scratch
+//
+// The workflow's fairDS queries (the PDF-matched lookup, the recommend
+// PDF, the published model's PDF) run directly on the current
+// fairds::Snapshot, loaded once at each of those three points; a fairDS
+// that was never trained aborts the update.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -20,7 +26,6 @@
 #include "fairms/zoo.hpp"
 #include "models/models.hpp"
 #include "nn/trainer.hpp"
-#include "service/data_service.hpp"
 #include "workflow/transfer.hpp"
 
 namespace fairdms::core {
@@ -63,15 +68,10 @@ struct UpdateReport {
 
 class FairDMS {
  public:
-  FairDMS(FairDMSConfig config, fairds::FairDS& data_service,
-          store::DocStore& db);
+  FairDMS(FairDMSConfig config, fairds::FairDS& ds, store::DocStore& db);
 
-  [[nodiscard]] fairds::FairDS& data_service() { return *ds_; }
   [[nodiscard]] fairms::ModelZoo& zoo() { return zoo_; }
   [[nodiscard]] fairms::ModelManager& manager() { return manager_; }
-  /// The serving facade the update workflow submits its user-plane
-  /// requests through; also available to callers for direct async use.
-  [[nodiscard]] service::DataService& service() { return service_; }
   [[nodiscard]] const FairDMSConfig& config() const { return config_; }
 
   /// Trains `model` on `train`, publishes it with the training data's
@@ -94,6 +94,8 @@ class FairDMS {
  private:
   /// Loads zoo model `id` into a fresh TaskModel.
   models::TaskModel materialize(store::DocId id);
+  /// fairDS's current snapshot; aborts when fairDS was never trained.
+  [[nodiscard]] std::shared_ptr<const fairds::Snapshot> snapshot() const;
   [[nodiscard]] double charge_transfer(const std::string& src,
                                        const std::string& dst,
                                        std::uint64_t bytes) const;
@@ -102,7 +104,6 @@ class FairDMS {
   fairds::FairDS* ds_;
   fairms::ModelZoo zoo_;
   fairms::ModelManager manager_;
-  service::DataService service_;
   std::uint64_t update_counter_ = 0;
 };
 

@@ -60,18 +60,11 @@ void FairDS::publish_snapshot_locked() {
       config_, embedder_, *kmeans_,
       std::make_shared<const ReuseIndex>(reuse_index_), label_width_,
       samples_, ++version_);
-  snapshot_.store(std::move(snap));
+  snapshot_.publish(std::move(snap));
 }
 
 std::shared_ptr<const Snapshot> FairDS::snapshot() const {
   return snapshot_.load();
-}
-
-std::shared_ptr<const Snapshot> FairDS::require_snapshot(
-    const char* what) const {
-  auto snap = snapshot_.load();
-  FAIRDMS_CHECK(snap != nullptr, "FairDS::", what, " before train_system");
-  return snap;
 }
 
 void FairDS::train_system(const Tensor& historical_xs) {
@@ -178,10 +171,6 @@ double FairDS::certainty_locked(const Tensor& xs) const {
   return cluster::dataset_certainty(*kmeans_, embeddings, fuzzy);
 }
 
-double FairDS::certainty(const Tensor& xs) const {
-  return require_snapshot("certainty")->certainty(xs);
-}
-
 bool FairDS::maybe_retrain(const Tensor& new_xs) {
   return maybe_retrain(new_xs, config_.certainty_threshold);
 }
@@ -245,44 +234,11 @@ bool FairDS::maybe_retrain(const Tensor& new_xs, double certainty_threshold) {
   return true;
 }
 
-Tensor FairDS::embed(const Tensor& xs) const {
-  return require_snapshot("embed")->embed(xs);
-}
-
-std::vector<double> FairDS::distribution(const Tensor& xs) const {
-  return require_snapshot("distribution")->distribution(xs);
-}
-
-nn::Batchset FairDS::lookup(const Tensor& xs, std::uint64_t seed) const {
-  return require_snapshot("lookup")->lookup(xs, seed);
-}
-
-nn::Batchset FairDS::lookup_or_label(
-    const Tensor& xs, double threshold,
-    const std::function<Tensor(const Tensor&)>& fallback_labeler,
-    ReuseStats* stats) const {
-  return require_snapshot("lookup_or_label")
-      ->lookup_or_label(xs, threshold, fallback_labeler, stats);
-}
-
-const cluster::KMeansModel& FairDS::clusters() const {
-  return require_snapshot("clusters")->clusters();
-}
-
-const ReuseIndex& FairDS::reuse_index() const {
-  return require_snapshot("reuse_index")->reuse_index();
-}
-
 std::size_t FairDS::stored_count() const { return samples_->size(); }
 
 std::size_t FairDS::store_shards() const { return samples_->shard_count(); }
 
 const char* FairDS::storage_engine() const { return samples_->engine_name(); }
-
-std::size_t FairDS::n_clusters() const {
-  auto snap = snapshot_.load();
-  return snap == nullptr ? 0 : snap->n_clusters();
-}
 
 Tensor FairDS::images_for(const std::vector<store::DocId>& ids) const {
   if (ids.empty()) return Tensor();

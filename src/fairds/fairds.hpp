@@ -7,26 +7,24 @@
 // (fuzzy k-means) and retrain embedding + clustering + re-ingest when
 // certainty drops below threshold.
 //
-// User plane: given unlabeled input data, compute its cluster-PDF
-// (`distribution`), retrieve a PDF-matched labeled dataset from history
-// (`lookup`), or reuse labels per-sample with a distance threshold and fall
-// back to a caller-provided conventional labeler (`lookup_or_label`,
-// the Fig. 9 workload).
+// User plane: every query runs on a fairds::Snapshot (snapshot.hpp), the
+// immutable model version the system plane last published: the cluster-PDF
+// of unlabeled input (`distribution`), a PDF-matched labeled dataset from
+// history (`lookup`), or per-sample label reuse with a distance threshold
+// and a caller-provided conventional labeler for the misses
+// (`lookup_or_label`, the Fig. 9 workload).
 //
-// Concurrency model (two planes, one atomic seam): the system plane
+// Concurrency model (two planes, one publication seam): the system plane
 // (train_system / ingest / maybe_retrain) mutates master state under an
-// internal mutex and, on completion, publishes an immutable fairds::Snapshot
-// via atomic swap. The user-plane methods are thin wrappers that load the
-// current snapshot and run on it — lock-free, any number of threads, and
-// never blocked by (or observing a torn view of) an in-flight retrain.
-// Callers that need cross-call consistency (e.g. embed + distribution of
-// the same batch against one model version) should grab snapshot() once
-// and call through it.
+// internal mutex and, on completion, publishes a new Snapshot. snapshot()
+// hands out the current one; queries on it run without locks, from any
+// number of threads, and never observe a torn view of an in-flight
+// retrain. Hold one snapshot across calls that must agree on one model
+// version (e.g. embed + distribution of the same batch).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -40,6 +38,7 @@
 #include "store/docstore.hpp"
 #include "util/annotations.hpp"
 #include "util/mutex.hpp"
+#include "util/published.hpp"
 
 namespace fairdms::fairds {
 
@@ -86,7 +85,7 @@ class FairDS {
 
   /// Trains the embedding model and the clustering model on historical
   /// images [N, 1, S, S], then publishes the first snapshot. Must run
-  /// before ingest/lookup.
+  /// before ingest and before any query.
   void train_system(const Tensor& historical_xs);
 
   /// Embeds, clusters, and stores labeled samples (xs [N,1,S,S], ys [N,L])
@@ -107,54 +106,19 @@ class FairDS {
   /// implementation. A threshold above 1.0 retrains unconditionally.
   bool maybe_retrain(const Tensor& new_xs, double certainty_threshold);
 
-  // --- user plane (lock-free snapshot wrappers) ----------------------------
+  // --- user plane ------------------------------------------------------------
 
-  /// The current published model snapshot. Queries running against a
-  /// snapshot are unaffected by later system-plane publishes.
+  /// The current published model snapshot; nullptr before train_system.
+  /// Queries running against a snapshot are unaffected by later
+  /// system-plane publishes.
   [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const;
 
-  /// Fuzzy-k-means certainty of the current clustering on a dataset, in
-  /// [0, 1] (fraction of samples assigned with >= 50% membership).
-  [[nodiscard]] double certainty(const Tensor& xs) const;
-
-  /// Embeds images [N,1,S,S] -> [N, dim].
-  [[nodiscard]] Tensor embed(const Tensor& xs) const;
-
-  /// Cluster-PDF of a dataset — the representation used for store lookups
-  /// and for indexing models in the Zoo.
-  [[nodiscard]] std::vector<double> distribution(const Tensor& xs) const;
-
-  /// Retrieves |xs| labeled samples from history whose cluster distribution
-  /// matches the input's PDF (sampling per-cluster counts from the PDF).
-  /// All randomness derives from the explicit per-call seed.
-  [[nodiscard]] nn::Batchset lookup(const Tensor& xs,
-                                    std::uint64_t seed) const;
-
-  /// Per-sample reuse: for each input, the nearest stored sample within its
-  /// cluster is reused when its embedding distance is below `threshold`;
-  /// otherwise `fallback_labeler` computes the label ([M,1,S,S] -> [M,L]).
-  /// Nearest-neighbor search runs on the snapshot's reuse index; winning
-  /// documents are fetched in one batched, field-projected store read. On
-  /// an empty store every sample routes to the fallback labeler and the
-  /// label width is inferred from its output (cold start).
-  nn::Batchset lookup_or_label(
-      const Tensor& xs, double threshold,
-      const std::function<Tensor(const Tensor&)>& fallback_labeler,
-      ReuseStats* stats = nullptr) const;
-
   // --- introspection -------------------------------------------------------
-  [[nodiscard]] bool trained() const { return snapshot() != nullptr; }
-  /// References returned by clusters()/reuse_index() point into the current
-  /// snapshot and stay valid until the *next* system-plane publish; hold
-  /// snapshot() instead when a retrain may run concurrently.
-  [[nodiscard]] const cluster::KMeansModel& clusters() const;
-  [[nodiscard]] const ReuseIndex& reuse_index() const;
   [[nodiscard]] std::size_t stored_count() const;
   /// Shard count of the backing sample collection.
   [[nodiscard]] std::size_t store_shards() const;
   /// Storage engine of the backing sample collection ("mem" | "log").
   [[nodiscard]] const char* storage_engine() const;
-  [[nodiscard]] std::size_t n_clusters() const;
   [[nodiscard]] std::size_t retrain_count() const {
     return retrains_.load(std::memory_order_relaxed);
   }
@@ -166,8 +130,8 @@ class FairDS {
   /// Rebuilds the reuse index from the stored `cluster`/`embedding` fields
   /// (used when models change but stored assignments are authoritative).
   void rebuild_index_from_store() REQUIRES(system_mutex_);
-  /// Copies the master state into an immutable Snapshot and atomically
-  /// swaps it in. Caller must hold system_mutex_ (compiler-checked).
+  /// Copies the master state into an immutable Snapshot and publishes it.
+  /// Caller must hold system_mutex_ (compiler-checked).
   void publish_snapshot_locked() REQUIRES(system_mutex_);
   /// Certainty against the *master* state (inside a system-plane op, where
   /// the master may already be ahead of the published snapshot).
@@ -175,8 +139,6 @@ class FairDS {
       REQUIRES(system_mutex_);
   /// Images of `ids`, row i from ids[i], via one batched projected read.
   [[nodiscard]] Tensor images_for(const std::vector<store::DocId>& ids) const;
-  [[nodiscard]] std::shared_ptr<const Snapshot> require_snapshot(
-      const char* what) const;
 
   FairDSConfig config_;
   store::DocStore* db_;
@@ -194,8 +156,8 @@ class FairDS {
   std::size_t label_width_ GUARDED_BY(system_mutex_) = 0;
   std::uint64_t version_ GUARDED_BY(system_mutex_) = 0;
 
-  /// The published snapshot (null until train_system). Lock-free readers.
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
+  /// The published snapshot (null until train_system).
+  util::Published<Snapshot> snapshot_;
   std::atomic<std::size_t> retrains_{0};
 };
 

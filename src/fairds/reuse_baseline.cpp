@@ -32,13 +32,14 @@ nn::Batchset legacy_lookup_or_label(
         fallback_labeler,
     ReuseStats* stats) {
   using tensor::Tensor;
-  FAIRDMS_CHECK(ds.trained(), "FairDS::lookup_or_label before train_system");
+  const auto snap = ds.snapshot();
+  FAIRDMS_CHECK(snap != nullptr, "legacy_lookup_or_label before train_system");
   const FairDSConfig& config = ds.config();
   store::Collection& samples = db.collection(config.collection);
   const std::size_t n = xs.dim(0);
   const std::size_t pixels = config.image_size * config.image_size;
-  const Tensor embeddings = ds.embed(xs);
-  const auto assignments = ds.clusters().assign_batch(embeddings);
+  const Tensor embeddings = snap->embed(xs);
+  const auto assignments = snap->clusters().assign_batch(embeddings);
 
   // Two-level search: cluster members first, then nearest-by-embedding
   // within the cluster — one find_eq and one find_by_id *per member*.

@@ -96,7 +96,7 @@ nn::Batchset Snapshot::fetch_samples(
 }
 
 nn::Batchset Snapshot::lookup(const Tensor& xs, std::uint64_t seed) const {
-  FAIRDMS_CHECK(index_->size() > 0, "FairDS::lookup on empty store");
+  FAIRDMS_CHECK(index_->size() > 0, "Snapshot::lookup on empty store");
   const std::size_t n = xs.dim(0);
   const std::vector<double> pdf = distribution(xs);
   util::Rng rng(seed);

@@ -3,13 +3,14 @@
 // FAIR-models follow-up, arXiv:2207.00611).
 //
 // A Snapshot captures everything a query needs — embedder, k-means model,
-// reuse index, label width, config — at one consistent model version. All
-// user-plane operations (embed / distribution / certainty / lookup /
-// lookup_or_label) are pure functions of a snapshot plus per-call inputs
-// (an explicit seed where sampling is involved), so any number of threads
-// can query one snapshot concurrently without locks while the system plane
-// trains the next version off to the side and publishes it with an atomic
-// swap (FairDS::snapshot()).
+// reuse index, label width, config — at one consistent model version. It
+// is the one query API: every user-plane operation (embed / distribution /
+// certainty / lookup / lookup_or_label) is a pure function of a snapshot
+// plus per-call inputs (an explicit seed where sampling is involved), so
+// any number of threads can query one snapshot concurrently without locks
+// while the system plane trains the next version off to the side and
+// publishes it (FairDS::snapshot() returns the current one; nullptr before
+// the first train_system).
 //
 // Thread-safety contract:
 //  * Every method on a published Snapshot is safe to call concurrently.
@@ -75,8 +76,13 @@ class Snapshot {
   [[nodiscard]] nn::Batchset lookup(const Tensor& xs,
                                     std::uint64_t seed) const;
 
-  /// Per-sample reuse against this snapshot's index; misses (and queries on
-  /// an empty index) go to `fallback_labeler`. See FairDS::lookup_or_label.
+  /// Per-sample reuse: for each input, the nearest stored sample within its
+  /// cluster is reused when its embedding distance is below `threshold`;
+  /// otherwise `fallback_labeler` computes the label ([M,1,S,S] -> [M,L]).
+  /// Nearest-neighbor search runs on this snapshot's reuse index; winning
+  /// documents are fetched in one batched, field-projected store read. On
+  /// an empty index every sample routes to the fallback labeler and the
+  /// label width is inferred from its output (cold start).
   nn::Batchset lookup_or_label(
       const Tensor& xs, double threshold,
       const std::function<Tensor(const Tensor&)>& fallback_labeler,

@@ -31,7 +31,6 @@ std::size_t ModelCache::record_bytes(const CachedModel& record) {
 bool ModelCache::admits_record(std::size_t blob_bytes, std::size_t pdf_len,
                                std::size_t arch_len,
                                std::size_t dataset_len) const {
-  util::MutexLock lock(mutex_);
   return record_bytes(blob_bytes, pdf_len, arch_len, dataset_len) <=
          budget_bytes_;
 }
@@ -107,17 +106,6 @@ void ModelCache::clear() {
   lru_.clear();
   floors_.clear();
   resident_bytes_ = 0;
-}
-
-void ModelCache::set_budget(std::size_t budget_bytes) {
-  util::MutexLock lock(mutex_);
-  budget_bytes_ = budget_bytes;
-  evict_to_budget_locked();
-}
-
-std::size_t ModelCache::budget() const {
-  util::MutexLock lock(mutex_);
-  return budget_bytes_;
 }
 
 ModelCacheStats ModelCache::stats() const {

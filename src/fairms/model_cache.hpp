@@ -16,7 +16,8 @@
 // share one ModelZoo; writers bypassing the zoo (a second ModelZoo over the
 // same store) require an explicit invalidate_below/clear.
 //
-// Thread-safety: every method takes one internal mutex; returned shared_ptr
+// Thread-safety: every method that reads or writes entries takes one
+// internal mutex (the budget is fixed at construction); returned shared_ptr
 // handles outlive eviction.
 #pragma once
 
@@ -90,11 +91,6 @@ class ModelCache {
   /// cold-start measurements.
   void clear();
 
-  /// Re-budgets the cache, evicting LRU entries down to the new limit.
-  /// 0 disables caching and drops everything.
-  void set_budget(std::size_t budget_bytes);
-  [[nodiscard]] std::size_t budget() const;
-
   [[nodiscard]] ModelCacheStats stats() const;
 
  private:
@@ -116,8 +112,8 @@ class ModelCache {
   void insert_locked(store::DocId id, Entry&& entry) REQUIRES(mutex_);
   void evict_to_budget_locked() REQUIRES(mutex_);
 
+  const std::size_t budget_bytes_;
   mutable util::Mutex mutex_{util::LockRank::kModelCache};
-  std::size_t budget_bytes_ GUARDED_BY(mutex_);
   std::size_t resident_bytes_ GUARDED_BY(mutex_) = 0;
   /// front = most recently used
   std::list<store::DocId> lru_ GUARDED_BY(mutex_);

@@ -156,7 +156,7 @@ ModelZoo::ModelZoo(store::DocStore& db, std::size_t cache_bytes)
     }
     revision_.store(max_revision, std::memory_order_release);
   }
-  publish_index(
+  index_.publish(
       std::make_shared<const RankIndex>(shelves.begin(), shelves.end()));
 }
 
@@ -265,7 +265,7 @@ std::uint64_t ModelZoo::allocate_revision_locked(store::DocId id) {
 void ModelZoo::place_locked(store::DocId id, const std::string& architecture,
                             std::span<const double> pdf) {
   ShelfKey key{architecture, pdf.size()};
-  RankIndex next = *index();  // shares every shelf
+  RankIndex next = *index_.load();  // shares every shelf
   const auto placed = shelf_of_.find(id);
   const bool stays = placed != shelf_of_.end() && placed->second == key;
   if (placed != shelf_of_.end() && !stays) {
@@ -302,7 +302,7 @@ void ModelZoo::place_locked(store::DocId id, const std::string& architecture,
     shelf_of_.insert_or_assign(id, std::move(key));
   }
   slot = std::move(shelf);
-  publish_index(std::make_shared<const RankIndex>(std::move(next)));
+  index_.publish(std::make_shared<const RankIndex>(std::move(next)));
 }
 
 void ModelZoo::place_from_store_locked(store::DocId id) {
@@ -383,19 +383,9 @@ bool ModelZoo::reindex(store::DocId id, const std::vector<double>& train_pdf) {
   return true;
 }
 
-std::shared_ptr<const ModelZoo::RankIndex> ModelZoo::index() const {
-  util::MutexLock lock(index_mutex_);
-  return index_;
-}
-
-void ModelZoo::publish_index(std::shared_ptr<const RankIndex> next) {
-  util::MutexLock lock(index_mutex_);
-  index_.swap(next);  // the previous index dies with `next`, after the unlock
-}
-
 std::shared_ptr<const RankShelf> ModelZoo::shelf(
     const std::string& architecture, std::size_t width) const {
-  const auto current = index();
+  const auto current = index_.load();
   const auto it = current->find(ShelfKey{architecture, width});
   return it == current->end() ? nullptr : it->second;
 }

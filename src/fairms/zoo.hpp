@@ -31,6 +31,7 @@
 #include "store/docstore.hpp"
 #include "util/annotations.hpp"
 #include "util/mutex.hpp"
+#include "util/published.hpp"
 
 namespace fairdms::fairms {
 
@@ -179,11 +180,6 @@ class ModelZoo {
   /// rankable now (weights attached, or a malformed PDF replaced).
   void place_from_store_locked(store::DocId id) REQUIRES(mutation_mutex_);
 
-  [[nodiscard]] std::shared_ptr<const RankIndex> index() const
-      EXCLUDES(index_mutex_);
-  void publish_index(std::shared_ptr<const RankIndex> next)
-      EXCLUDES(index_mutex_);
-
   store::Collection* collection_;
   std::atomic<std::uint64_t> revision_{0};
   /// Orders record mutations: revision allocation, the store commit and the
@@ -194,16 +190,9 @@ class ModelZoo {
   /// mutations are the rare path.
   util::Mutex mutation_mutex_{util::LockRank::kZooMutation};
   std::unique_ptr<ModelCache> cache_;
-  /// Guards only the published index pointer: held to copy or swap it,
-  /// never while an index is built, so a reader waits at most for a
-  /// pointer swap. (libstdc++'s std::atomic<std::shared_ptr> takes the same
-  /// kind of lock internally — it is not lock-free — but its load releases
-  /// it with a relaxed store, which ThreadSanitizer rightly reports as a
-  /// race against a concurrent store.)
-  mutable util::Mutex index_mutex_{util::LockRank::kZooIndex};
   /// The published rank index: readers copy it, mutators copy-swap it
   /// under mutation_mutex_.
-  std::shared_ptr<const RankIndex> index_ GUARDED_BY(index_mutex_);
+  util::Published<RankIndex> index_;
   /// Which shelf holds each shelved record — the writers' way to its row.
   std::unordered_map<store::DocId, ShelfKey> shelf_of_
       GUARDED_BY(mutation_mutex_);

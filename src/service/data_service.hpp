@@ -6,7 +6,7 @@
 // tomography, CookieBox, Bragg/HEDM). Each stream is an independent
 // tenant — its own FairDS/collection/snapshot chain, ModelManager slice,
 // RetrainPolicy, retrain executor, and admission ledger — registered in a
-// StreamRegistry whose name->stream route is lock-free (see
+// StreamRegistry whose name->stream route is one pointer copy (see
 // stream_registry.hpp). Every user-plane DTO carries a `stream` id; an
 // empty id maps to kDefaultStreamName.
 //
@@ -80,8 +80,8 @@ class DataService {
 
   // --- stream registry ------------------------------------------------------
   /// Registers a tenant. False when the name is taken. Thread-safe against
-  /// concurrent submits (registration is copy-on-write; routing stays
-  /// lock-free). `manager` is optional and only needed for
+  /// concurrent submits (registration is copy-on-write; a route is one
+  /// pointer copy). `manager` is optional and only needed for
   /// RecommendRequest.
   bool add_stream(const std::string& name, fairds::FairDS& ds,
                   StreamConfig config = {},
@@ -127,15 +127,9 @@ class DataService {
   /// path — which is also what lets tenants serve different image sizes.
   [[nodiscard]] std::shared_ptr<const fairds::Snapshot> snapshot(
       const std::string& stream) const;
-  [[nodiscard]] std::shared_ptr<const fairds::Snapshot> snapshot() const {
-    return snapshot("");
-  }
   /// Whether RecommendRequest is servable on `stream` (a ModelManager was
   /// attached at registration).
   [[nodiscard]] bool has_model_manager(const std::string& stream) const;
-  [[nodiscard]] bool has_model_manager() const {
-    return has_model_manager("");
-  }
 
  private:
   /// The three StreamStats counters one user-plane op owns.

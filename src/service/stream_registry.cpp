@@ -65,10 +65,6 @@ StreamStats ServiceStats::totals() const {
   return out;
 }
 
-StreamRegistry::StreamRegistry() {
-  map_.store(std::make_shared<const Map>(), std::memory_order_release);
-}
-
 bool StreamRegistry::add(const std::string& name, fairds::FairDS& ds,
                          StreamConfig config,
                          const fairms::ModelManager* manager) {
@@ -85,30 +81,24 @@ bool StreamRegistry::add(const std::string& name, fairds::FairDS& ds,
                 "stream '", name, "': configured storage_engine '",
                 config.storage_engine, "' != sample collection's '",
                 ds.storage_engine(), "'");
-  FAIRDMS_CHECK(config.model_cache_bytes == 0 || manager != nullptr,
-                "stream '", name,
-                "': model_cache_bytes configured without a ModelManager");
   util::MutexLock lock(mutation_mutex_);
-  const auto current = map_.load(std::memory_order_acquire);
+  const auto current = map_.load();
   if (current->contains(name)) return false;
-  if (config.model_cache_bytes != 0) {
-    manager->zoo().cache().set_budget(config.model_cache_bytes);
-  }
   auto next = std::make_shared<Map>(*current);
   (*next)[name] =
       std::make_shared<Stream>(name, ds, std::move(config), manager);
-  map_.store(std::move(next), std::memory_order_release);
+  map_.publish(std::move(next));
   return true;
 }
 
 std::shared_ptr<Stream> StreamRegistry::find(const std::string& name) const {
-  const auto map = map_.load(std::memory_order_acquire);
+  const auto map = map_.load();
   const auto it = map->find(name.empty() ? kDefaultStreamName : name);
   return it != map->end() ? it->second : nullptr;
 }
 
 std::vector<std::shared_ptr<Stream>> StreamRegistry::all() const {
-  const auto map = map_.load(std::memory_order_acquire);
+  const auto map = map_.load();
   std::vector<std::shared_ptr<Stream>> out;
   out.reserve(map->size());
   for (const auto& [_, stream] : *map) out.push_back(stream);
@@ -116,7 +106,7 @@ std::vector<std::shared_ptr<Stream>> StreamRegistry::all() const {
 }
 
 std::size_t StreamRegistry::size() const {
-  return map_.load(std::memory_order_acquire)->size();
+  return map_.load()->size();
 }
 
 }  // namespace fairdms::service

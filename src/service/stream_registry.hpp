@@ -7,9 +7,9 @@
 // its own snapshot publish chain), its own optional ModelManager slice,
 // its own RetrainPolicy, its own single-thread retrain executor, and its
 // own admission/stats ledgers. The registry maps names to streams with
-// the same idiom the snapshot plane uses for models: an atomic
-// shared_ptr to an immutable map, copied on mutation — so the user-plane
-// route from a request's stream id to its snapshot is lock-free, while
+// the same idiom the snapshot plane uses for models: a published immutable
+// map (util::Published), copied on mutation — so the user-plane route from
+// a request's stream id to its snapshot costs one pointer copy, while
 // registration (rare, operator-plane) serializes on a mutex.
 //
 // Lifetime: the registry borrows the FairDS and ModelManager — the caller
@@ -29,6 +29,7 @@
 #include "service/dtos.hpp"
 #include "util/annotations.hpp"
 #include "util/mutex.hpp"
+#include "util/published.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fairdms::service {
@@ -67,9 +68,6 @@ struct StreamConfig {
   /// Declared storage engine of the collection ("mem" | "log"); empty =>
   /// don't care. Checked like store_shards.
   std::string storage_engine = "";
-  /// Re-budgets the stream's model-plane cache at registration (requires a
-  /// ModelManager). 0 => leave the zoo's budget as configured.
-  std::size_t model_cache_bytes = 0;
 };
 
 /// One tenant's serving state. User-plane fields are atomics or guarded by
@@ -113,10 +111,10 @@ struct Stream {
   [[nodiscard]] StreamStats stats() const EXCLUDES(stats_mutex);
 };
 
-/// Name -> Stream map with lock-free lookup and copy-on-write insertion.
+/// Name -> Stream map with a published lookup and copy-on-write insertion.
 class StreamRegistry {
  public:
-  StreamRegistry();
+  StreamRegistry() = default;
   ~StreamRegistry() = default;
 
   StreamRegistry(const StreamRegistry&) = delete;
@@ -128,8 +126,9 @@ class StreamRegistry {
   bool add(const std::string& name, fairds::FairDS& ds, StreamConfig config,
            const fairms::ModelManager* manager);
 
-  /// Lock-free route from a request's stream id to its stream. Empty
-  /// `name` is the alias for kDefaultStreamName. nullptr when unknown.
+  /// Route from a request's stream id to its stream (one pointer copy).
+  /// Empty `name` is the alias for kDefaultStreamName. nullptr when
+  /// unknown.
   [[nodiscard]] std::shared_ptr<Stream> find(const std::string& name) const;
 
   /// All streams, sorted by name (the order stats vectors report in).
@@ -141,7 +140,7 @@ class StreamRegistry {
   using Map = std::map<std::string, std::shared_ptr<Stream>>;
 
   /// Published map; readers load, mutators copy-swap under mutation_mutex_.
-  std::atomic<std::shared_ptr<const Map>> map_;
+  util::Published<Map> map_{std::make_shared<const Map>()};
   util::Mutex mutation_mutex_{util::LockRank::kStreamRegistry};
 };
 

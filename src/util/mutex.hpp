@@ -35,7 +35,7 @@ enum class LockRank : int {
   kStreamRegistry = 55,  ///< service::StreamRegistry::mutation_mutex_
   kServiceStats = 60,  ///< service per-stream stats mutexes
   kModelCache = 70,    ///< fairms::ModelCache::mutex_
-  kZooIndex = 75,      ///< fairms::ModelZoo::index_mutex_ (pointer only)
+  kPublished = 75,     ///< util::Published pointer (held to copy or swap)
   kWorkflow = 80,      ///< workflow::FuncXRegistry / TransferService
   kDataLoader = 82,    ///< store::DataLoader::mutex_
   kNfsMeta = 84,       ///< store::NfsStore::meta_mutex_

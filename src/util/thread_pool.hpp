@@ -28,7 +28,7 @@ class ThreadPool {
   /// `threads == 0` means hardware_concurrency (at least 1).
   /// `max_queue` bounds the number of *waiting* tasks admitted through
   /// try_submit/try_async (tasks already executing don't count); 0 means
-  /// unbounded. submit()/async()/parallel_for ignore the bound — they are
+  /// unbounded. submit()/parallel_for ignore the bound — they are
   /// the internal data-parallel substrate and must never fail — so the
   /// bound only governs callers that opt into admission control.
   explicit ThreadPool(std::size_t threads = 0, std::size_t max_queue = 0);
@@ -50,27 +50,16 @@ class ThreadPool {
   /// callers.
   [[nodiscard]] bool try_submit(std::function<void()> task);
 
-  /// Enqueue a task and get a std::future for its result (exceptions
-  /// propagate through the future). The request-submission substrate of
-  /// the service layer.
-  template <typename F>
-  [[nodiscard]] auto async(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    // shared_ptr wrapper because std::function requires copyable targets
-    // and packaged_task is move-only.
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    submit([task] { (*task)(); });
-    return result;
-  }
-
-  /// Bounded async: like async() but through try_submit. nullopt means the
-  /// queue was full and the callable was not (and will never be) invoked.
+  /// Bounded enqueue with a std::future for the result (exceptions
+  /// propagate through the future); the request-submission substrate of
+  /// the service layer. nullopt means the queue was full and the callable
+  /// was not (and will never be) invoked.
   template <typename F>
   [[nodiscard]] auto try_async(F&& fn)
       -> std::optional<std::future<std::invoke_result_t<F>>> {
     using R = std::invoke_result_t<F>;
+    // shared_ptr wrapper because std::function requires copyable targets
+    // and packaged_task is move-only.
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> result = task->get_future();

@@ -240,7 +240,8 @@ TEST_F(AdmissionFixture, ShedNeverBlocksSubmitters) {
 
 TEST_F(AdmissionFixture, AllOpTypesShedAndReconcile) {
   fairms::ModelZoo zoo(db_);
-  zoo.publish("braggnn", "m0", ds_->distribution(history_.xs), {1, 2, 3});
+  zoo.publish("braggnn", "m0", ds_->snapshot()->distribution(history_.xs),
+              {1, 2, 3});
   fairms::ModelManager manager(zoo, 1.0);
   // The same scenario against each admission bound: the service-wide queue
   // (the pool rejects) and the stream's own bound (the stream rejects

@@ -124,10 +124,15 @@ TEST_F(FairDmsEndToEnd, UpdateModelFairDmsFineTunesFromZoo) {
   system_->train_and_publish(seed_model, history_, history_, "history");
 
   const nn::Batchset new_data = regime_data(0.05, 48, 32);
+  // The pick update_model must make: recommend over the new data's PDF
+  // under the current snapshot, the answer a RecommendRequest gets.
+  const auto expected = system_->manager().recommend(
+      "braggnn", ds_->snapshot()->distribution(new_data.xs));
+  ASSERT_TRUE(expected.has_value());
   const auto report = system_->update_model(
       new_data.xs, new_data, core::UpdateStrategy::kFairDMS);
   EXPECT_TRUE(report.fine_tuned);
-  EXPECT_GE(report.foundation_distance, 0.0);
+  EXPECT_EQ(report.foundation_distance, expected->distance);  // bit for bit
   EXPECT_GT(report.label_seconds, 0.0);
   EXPECT_GT(report.train_seconds, 0.0);
   EXPECT_GT(report.epochs, 0u);
@@ -136,8 +141,13 @@ TEST_F(FairDmsEndToEnd, UpdateModelFairDmsFineTunesFromZoo) {
               report.label_seconds + report.recommend_seconds +
                   report.train_seconds + report.transfer_seconds,
               1e-9);
-  // The update itself lands in the zoo (1 seed + 1 update).
+  // The update itself lands in the zoo (1 seed + 1 update), indexed by the
+  // new data's PDF under the current snapshot.
   EXPECT_EQ(system_->zoo().size(), 2u);
+  const auto published = system_->zoo().fetch(report.published_model);
+  ASSERT_TRUE(published.has_value());
+  EXPECT_EQ(published->train_pdf,
+            ds_->snapshot()->distribution(new_data.xs));
 }
 
 TEST_F(FairDmsEndToEnd, UpdateModelRetrainSkipsRecommendation) {

@@ -56,14 +56,15 @@ class FairDsFixture : public ::testing::Test {
 };
 
 TEST_F(FairDsFixture, TrainedStateAndStoredCount) {
-  EXPECT_TRUE(ds_->trained());
+  const auto snap = ds_->snapshot();
+  ASSERT_NE(snap, nullptr);
   EXPECT_EQ(ds_->stored_count(), 96u);
-  EXPECT_EQ(ds_->n_clusters(), 4u);
-  EXPECT_EQ(ds_->clusters().k(), 4u);
+  EXPECT_EQ(snap->n_clusters(), 4u);
+  EXPECT_EQ(snap->clusters().k(), 4u);
 }
 
 TEST_F(FairDsFixture, DistributionIsAPdf) {
-  const auto pdf = ds_->distribution(history_.xs);
+  const auto pdf = ds_->snapshot()->distribution(history_.xs);
   ASSERT_EQ(pdf.size(), 4u);
   double sum = 0.0;
   for (double v : pdf) {
@@ -74,13 +75,14 @@ TEST_F(FairDsFixture, DistributionIsAPdf) {
 }
 
 TEST_F(FairDsFixture, EmbedShape) {
-  const Tensor e = ds_->embed(history_.xs);
+  const Tensor e = ds_->snapshot()->embed(history_.xs);
   EXPECT_EQ(e.shape(), (std::vector<std::size_t>{96, 8}));
 }
 
 TEST_F(FairDsFixture, LookupReturnsMatchingCountAndDistribution) {
   const nn::Batchset query = regime_data(0.02, 48, 2);
-  const nn::Batchset retrieved = ds_->lookup(query.xs, 99);
+  const auto snap = ds_->snapshot();
+  const nn::Batchset retrieved = snap->lookup(query.xs, 99);
   EXPECT_EQ(retrieved.size(), 48u);
   EXPECT_EQ(retrieved.xs.shape(),
             (std::vector<std::size_t>{48, 1, 15, 15}));
@@ -88,15 +90,16 @@ TEST_F(FairDsFixture, LookupReturnsMatchingCountAndDistribution) {
 
   // The retrieved set's cluster distribution should be close to the query's
   // (that is the whole lookup contract).
-  const auto query_pdf = ds_->distribution(query.xs);
-  const auto got_pdf = ds_->distribution(retrieved.xs);
+  const auto query_pdf = snap->distribution(query.xs);
+  const auto got_pdf = snap->distribution(retrieved.xs);
   EXPECT_LT(fairms::jensen_shannon_divergence(query_pdf, got_pdf), 0.2);
 }
 
 TEST_F(FairDsFixture, LookupIsSeedDeterministic) {
   const nn::Batchset query = regime_data(0.0, 16, 3);
-  const auto a = ds_->lookup(query.xs, 7);
-  const auto b = ds_->lookup(query.xs, 7);
+  const auto snap = ds_->snapshot();
+  const auto a = snap->lookup(query.xs, 7);
+  const auto b = snap->lookup(query.xs, 7);
   for (std::size_t i = 0; i < a.xs.numel(); ++i) {
     ASSERT_EQ(a.xs[i], b.xs[i]);
   }
@@ -108,7 +111,7 @@ TEST_F(FairDsFixture, LookupOrLabelReusesForSimilarData) {
   const nn::Batchset query = regime_data(0.0, 24, 4);
   fairds::ReuseStats stats;
   std::size_t fallback_calls = 0;
-  const auto labeled = ds_->lookup_or_label(
+  const auto labeled = ds_->snapshot()->lookup_or_label(
       query.xs, /*threshold=*/1e9,
       [&](const Tensor& xs) {
         ++fallback_calls;
@@ -124,7 +127,7 @@ TEST_F(FairDsFixture, LookupOrLabelReusesForSimilarData) {
 TEST_F(FairDsFixture, LookupOrLabelFallsBackForTinyThreshold) {
   const nn::Batchset query = regime_data(0.0, 12, 5);
   fairds::ReuseStats stats;
-  const auto labeled = ds_->lookup_or_label(
+  const auto labeled = ds_->snapshot()->lookup_or_label(
       query.xs, /*threshold=*/1e-12,
       [&](const Tensor& xs) {
         Tensor ys({xs.dim(0), 2});
@@ -144,7 +147,7 @@ TEST_F(FairDsFixture, ReusedPairsAreInternallyConsistent) {
   // reused image must carry its own label. Check image/label consistency
   // via the intensity centroid of the returned patch.
   const nn::Batchset query = regime_data(0.0, 24, 6);
-  const auto labeled = ds_->lookup_or_label(
+  const auto labeled = ds_->snapshot()->lookup_or_label(
       query.xs, 1e9, [](const Tensor& xs) { return Tensor({xs.dim(0), 2}); });
   for (std::size_t i = 0; i < 24; ++i) {
     double cx = 0.0, cy = 0.0;
@@ -160,9 +163,10 @@ TEST_F(FairDsFixture, ReusedPairsAreInternallyConsistent) {
 }
 
 TEST_F(FairDsFixture, CertaintyHighInRegimeLowAfterBigShift) {
-  EXPECT_GT(ds_->certainty(history_.xs), 0.55);
+  const auto snap = ds_->snapshot();
+  EXPECT_GT(snap->certainty(history_.xs), 0.55);
   const nn::Batchset shifted = regime_data(1.6, 48, 7);
-  EXPECT_LT(ds_->certainty(shifted.xs), ds_->certainty(history_.xs));
+  EXPECT_LT(snap->certainty(shifted.xs), snap->certainty(history_.xs));
 }
 
 TEST_F(FairDsFixture, MaybeRetrainTriggersOnlyBelowThreshold) {
@@ -182,11 +186,11 @@ TEST(FairDs, RetrainRestoresCertaintyAfterRegimeShift) {
   ds.ingest(history.xs, history.ys, "h");
 
   const nn::Batchset shifted = regime_data(1.8, 64, 11);
-  const double before = ds.certainty(shifted.xs);
+  const double before = ds.snapshot()->certainty(shifted.xs);
   if (before < config.certainty_threshold) {
     EXPECT_TRUE(ds.maybe_retrain(shifted.xs));
     EXPECT_EQ(ds.retrain_count(), 1u);
-    const double after = ds.certainty(shifted.xs);
+    const double after = ds.snapshot()->certainty(shifted.xs);
     EXPECT_GT(after, before);
   } else {
     GTEST_SKIP() << "shift did not reduce certainty below threshold";
@@ -202,15 +206,9 @@ TEST(FairDs, ElbowSelectsClusterCountWhenUnset) {
   fairds::FairDS ds(config, db);
   const nn::Batchset history = regime_data(0.0, 64, 12);
   ds.train_system(history.xs);
-  EXPECT_GE(ds.n_clusters(), 2u);
-  EXPECT_LE(ds.n_clusters(), 8u);
-}
-
-TEST(FairDsDeathTest, LookupBeforeTrainingAborts) {
-  store::DocStore db;
-  fairds::FairDS ds(small_config(), db);
-  const nn::Batchset q = regime_data(0.0, 4, 13);
-  EXPECT_DEATH(ds.lookup(q.xs, 1), "before train_system");
+  const std::size_t k = ds.snapshot()->n_clusters();
+  EXPECT_GE(k, 2u);
+  EXPECT_LE(k, 8u);
 }
 
 }  // namespace

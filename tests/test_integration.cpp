@@ -103,14 +103,14 @@ TEST_F(CaseStudy, FairDmsBeatsConventionalEndToEnd) {
   EXPECT_EQ(system_->zoo().size(), 7u);
   const auto record = system_->zoo().fetch(fairdms.published_model);
   ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->train_pdf.size(), ds_->n_clusters());
+  EXPECT_EQ(record->train_pdf.size(), ds_->snapshot()->n_clusters());
 }
 
 TEST_F(CaseStudy, RecommendationPrefersMatchingRegime) {
   // For fresh scan-0 data, the zoo model trained on scan 0 (or its regime
   // neighbour scan 1) must outrank the scan-3 model.
   const nn::Batchset probe = timeline_->dataset_at(0, 96, 900);
-  const auto pdf = ds_->distribution(probe.xs);
+  const auto pdf = ds_->snapshot()->distribution(probe.xs);
   const auto ranked = system_->manager().rank("braggnn", pdf);
   ASSERT_EQ(ranked.size(), 4u);
   const auto best = system_->zoo().fetch(ranked.front().model_id);

@@ -139,17 +139,6 @@ TEST(ModelCacheLru, AdmitsRecordMatchesPutRecordAdmission) {
   probe(4096);  // clearly over
 }
 
-TEST(ModelCacheLru, SetBudgetSheddesDownToNewLimit) {
-  ModelCache cache(1 << 20);
-  for (store::DocId id = 1; id <= 8; ++id) {
-    cache.put_record(make_record(id, 1, 1024));
-  }
-  EXPECT_EQ(cache.stats().entries, 8u);
-  cache.set_budget(2 * 1200);
-  EXPECT_LE(cache.stats().entries, 2u);
-  EXPECT_LE(cache.stats().resident_bytes, cache.budget());
-}
-
 // --- zoo revisions ----------------------------------------------------------
 
 TEST(ZooRevision, MonotonicAcrossMutationsAndRestart) {

@@ -3,8 +3,9 @@
 // monotonicity under concurrent ingest/lookup/retrain, per-stream shed
 // accounting (one saturated tenant sheds without touching the others),
 // unknown-stream structured answers, model-cache gauges counted once per
-// shared zoo, and the RetrainPolicy gates (min-new-samples, cooldown, forced
-// threshold). Carries the `service` label, so the TSan CI job and the
+// shared zoo, the RetrainPolicy gates (min-new-samples, cooldown, forced
+// threshold), and snapshot and route loads that stay ordered against
+// concurrent publishes. Carries the `service` label, so the TSan CI job and the
 // Release `--repeat until-fail:3` stress step cover the concurrent paths.
 #include <gtest/gtest.h>
 
@@ -342,6 +343,54 @@ TEST_F(MultiStreamFixture, RetrainPolicyGatesTriggerAndCooldown) {
   s0 = service.stream_stats(name(0));
   EXPECT_EQ(s0.retrain_checks, 1u);
   EXPECT_GE(s0.policy_cooldown_skips, 1u);
+}
+
+// Publication under contention: readers route to a stream and load its
+// snapshot while a writer publishes a new snapshot per one-row ingest and
+// registers new streams (each add publishes a new registry map). Every
+// reader must see snapshot versions and registrations that never go
+// backwards; under ThreadSanitizer a load racing a publish fails the test.
+TEST_F(MultiStreamFixture, SnapshotAndRouteLoadsStayOrderedUnderPublishes) {
+  service::DataService service({.workers = 1});
+  ASSERT_TRUE(service.add_stream(name(0), *streams_[0]));
+  constexpr std::size_t kRows = 48;
+  constexpr std::size_t kAddEvery = 8;
+  constexpr std::size_t kReaders = 3;
+  const std::uint64_t v0 = service.snapshot(name(0))->version();
+  const auto extra = [](std::size_t k) { return "extra" + std::to_string(k); };
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      std::uint64_t last_version = 0;
+      std::size_t routed = 0;  // extra streams this reader has seen
+      while (!done.load(std::memory_order_acquire)) {
+        const auto snap = service.snapshot(name(0));
+        if (snap == nullptr || snap->version() < last_version) ++failures;
+        if (snap != nullptr) last_version = snap->version();
+        if (service.has_stream(extra(routed))) ++routed;
+        for (std::size_t k = 0; k < routed; ++k) {
+          if (!service.has_stream(extra(k))) ++failures;
+        }
+      }
+    });
+  }
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const nn::Batchset row = tagged_history(tag(0), 1, 800 + i);
+    streams_[0]->ingest(row.xs, row.ys, "stress");
+    if (i % kAddEvery == 0) {
+      EXPECT_TRUE(service.add_stream(extra(i / kAddEvery),
+                                     *streams_[1 + i / kAddEvery % 2]));
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(service.snapshot(name(0))->version(), v0 + kRows);
+  EXPECT_EQ(service.stream_names().size(), 1 + kRows / kAddEvery);
 }
 
 }  // namespace

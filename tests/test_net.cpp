@@ -449,9 +449,10 @@ class NetFixture : public ::testing::Test {
     ds_->train_system(history_.xs);
     ds_->ingest(history_.xs, history_.ys, "history_0");
     zoo_ = std::make_unique<fairms::ModelZoo>(db_);
+    const auto snap = ds_->snapshot();
     for (int m = 0; m < 2; ++m) {
       zoo_->publish("braggnn", "seed_" + std::to_string(m),
-                    ds_->distribution(regime_data(0.0, 16, 200 + m).xs),
+                    snap->distribution(regime_data(0.0, 16, 200 + m).xs),
                     std::vector<std::uint8_t>(64, 0x42));
     }
     manager_ = std::make_unique<fairms::ModelManager>(*zoo_, 1.0);
@@ -496,11 +497,12 @@ TEST_F(NetFixture, EndToEndRoundTripsMatchInProcessResults) {
   const auto label = client.label({query.xs, 1e9, nullptr});
   ASSERT_TRUE(label.has_value());
   EXPECT_EQ(label->status, service::ServeStatus::kOk);
+  const auto snap = ds_->snapshot();
   fairds::ReuseStats direct_stats;
-  (void)ds_->lookup_or_label(query.xs, 1e9, zero_labeler, &direct_stats);
+  (void)snap->lookup_or_label(query.xs, 1e9, zero_labeler, &direct_stats);
   EXPECT_EQ(label->reuse.reused, direct_stats.reused);
   EXPECT_EQ(label->reuse.computed, direct_stats.computed);
-  EXPECT_EQ(label->snapshot_version, ds_->snapshot()->version());
+  EXPECT_EQ(label->snapshot_version, snap->version());
   EXPECT_EQ(label->batch.ys.dim(0), query.xs.dim(0));
 
   const auto lookup = client.lookup({query.xs, 7});

@@ -91,11 +91,13 @@ class RetrievalPathFixture : public ::testing::Test {
 };
 
 TEST_F(RetrievalPathFixture, IndexMirrorsStoreAfterIngest) {
-  EXPECT_EQ(ds_->reuse_index().size(), ds_->stored_count());
-  EXPECT_EQ(ds_->reuse_index().dim(), ds_->config().embedding_dim);
+  const auto snap = ds_->snapshot();
+  const fairds::ReuseIndex& index = snap->reuse_index();
+  EXPECT_EQ(index.size(), ds_->stored_count());
+  EXPECT_EQ(index.dim(), ds_->config().embedding_dim);
   std::size_t from_clusters = 0;
-  for (std::size_t c = 0; c < ds_->reuse_index().cluster_count(); ++c) {
-    from_clusters += ds_->reuse_index().cluster_size(c);
+  for (std::size_t c = 0; c < index.cluster_count(); ++c) {
+    from_clusters += index.cluster_size(c);
   }
   EXPECT_EQ(from_clusters, 96u);
 }
@@ -108,10 +110,11 @@ TEST_F(RetrievalPathFixture, ParityWithLegacyAcrossThresholds) {
   // Spans everything-reused down to everything-computed; the mid values
   // exercise mixed reuse/fallback batches.
   bool saw_mixed = false;
+  const auto snap = ds_->snapshot();
   for (const double threshold : {1e9, 2.0, 0.5, 0.2, 0.05, 1e-12}) {
     fairds::ReuseStats new_stats;
     const auto got =
-        ds_->lookup_or_label(query.xs, threshold, labeler, &new_stats);
+        snap->lookup_or_label(query.xs, threshold, labeler, &new_stats);
     fairds::ReuseStats old_stats;
     const auto want = fairds::legacy_lookup_or_label(
         *ds_, db_, query.xs, threshold, labeler, &old_stats);
@@ -139,7 +142,8 @@ TEST(RetrievalPath, ParityWithLegacyAfterRetrain) {
 
   const nn::Batchset shifted = regime_data(1.8, 64, 23);
   ASSERT_TRUE(ds.maybe_retrain(shifted.xs));
-  EXPECT_EQ(ds.reuse_index().size(), ds.stored_count());
+  const auto snap = ds.snapshot();
+  EXPECT_EQ(snap->reuse_index().size(), ds.stored_count());
   const nn::Batchset query = regime_data(0.02, 24, 24);
   const auto labeler = [](const Tensor& xs) {
     return deterministic_labeler(xs, 2);
@@ -147,7 +151,7 @@ TEST(RetrievalPath, ParityWithLegacyAfterRetrain) {
   for (const double threshold : {1e9, 0.5, 1e-12}) {
     fairds::ReuseStats new_stats;
     const auto got =
-        ds.lookup_or_label(query.xs, threshold, labeler, &new_stats);
+        snap->lookup_or_label(query.xs, threshold, labeler, &new_stats);
     fairds::ReuseStats old_stats;
     const auto want = fairds::legacy_lookup_or_label(
         ds, db, query.xs, threshold, labeler, &old_stats);
@@ -170,7 +174,7 @@ TEST(RetrievalColdStart, EmptyStoreRoutesEverythingToFallback) {
   const nn::Batchset query = regime_data(0.0, 12, 32);
   fairds::ReuseStats stats;
   std::size_t labeler_calls = 0;
-  const auto labeled = ds.lookup_or_label(
+  const auto labeled = ds.snapshot()->lookup_or_label(
       query.xs, /*threshold=*/1e9,
       [&](const Tensor& xs) {
         ++labeler_calls;
@@ -206,14 +210,15 @@ TEST(RetrievalEdgeCases, SingleMemberAndEmptyClusters) {
     std::copy_n(history.ys.data() + i * 2, 2, tiny.ys.data() + i * 2);
   }
   ds.ingest(tiny.xs, tiny.ys, "tiny");
-  EXPECT_EQ(ds.reuse_index().size(), 3u);
+  const auto snap = ds.snapshot();
+  EXPECT_EQ(snap->reuse_index().size(), 3u);
 
   const nn::Batchset query = regime_data(0.0, 24, 42);
   const auto labeler = [](const Tensor& xs) {
     return deterministic_labeler(xs, 2);
   };
   fairds::ReuseStats new_stats;
-  const auto got = ds.lookup_or_label(query.xs, 1e9, labeler, &new_stats);
+  const auto got = snap->lookup_or_label(query.xs, 1e9, labeler, &new_stats);
   EXPECT_EQ(new_stats.reused + new_stats.computed, 24u);
 
   fairds::ReuseStats old_stats;
@@ -235,11 +240,12 @@ TEST_F(RetrievalPathFixture, VanishedDocumentsFallBackInsteadOfAborting) {
     ASSERT_TRUE(col.remove_one(ids[i]));
   }
   ASSERT_EQ(ds_->stored_count(), 48u);
-  ASSERT_EQ(ds_->reuse_index().size(), 96u);  // stale on purpose
+  const auto snap = ds_->snapshot();
+  ASSERT_EQ(snap->reuse_index().size(), 96u);  // stale on purpose
 
   const nn::Batchset query = regime_data(0.0, 24, 25);
   fairds::ReuseStats stats;
-  const auto labeled = ds_->lookup_or_label(
+  const auto labeled = snap->lookup_or_label(
       query.xs, /*threshold=*/1e9,
       [](const Tensor& xs) { return deterministic_labeler(xs, 2); }, &stats);
   EXPECT_EQ(stats.reused + stats.computed, 24u);
@@ -286,12 +292,13 @@ TEST(RetrievalEdgeCases, StaleClusterIdsBeyondKAreTolerated) {
   fairds::FairDS ds(config, db);
   const nn::Batchset history = regime_data(0.0, 48, 52);
   ds.train_system(history.xs);  // must not abort
-  EXPECT_EQ(ds.reuse_index().size(), 1u);
-  EXPECT_EQ(ds.reuse_index().cluster_size(9), 1u);
+  const auto snap = ds.snapshot();
+  EXPECT_EQ(snap->reuse_index().size(), 1u);
+  EXPECT_EQ(snap->reuse_index().cluster_size(9), 1u);
 
   const nn::Batchset query = regime_data(0.0, 8, 53);
   fairds::ReuseStats stats;
-  const auto labeled = ds.lookup_or_label(
+  const auto labeled = snap->lookup_or_label(
       query.xs, 1e9,
       [](const Tensor& xs) { return deterministic_labeler(xs, 2); }, &stats);
   // The lone stored sample lives in an unreachable cluster: every query

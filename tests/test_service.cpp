@@ -74,16 +74,17 @@ TEST_F(ServiceFixture, LabelSubmitMatchesDirectCall) {
       service::LabelRequest{query.xs, 1e9, zero_labeler});
   const auto response = future.get();
 
+  const auto snap = ds_->snapshot();
   fairds::ReuseStats direct_stats;
   const auto direct =
-      ds_->lookup_or_label(query.xs, 1e9, zero_labeler, &direct_stats);
+      snap->lookup_or_label(query.xs, 1e9, zero_labeler, &direct_stats);
   EXPECT_EQ(response.reuse.reused, direct_stats.reused);
   EXPECT_EQ(response.reuse.computed, direct_stats.computed);
   ASSERT_EQ(response.batch.ys.shape(), direct.ys.shape());
   for (std::size_t i = 0; i < direct.ys.numel(); ++i) {
     EXPECT_EQ(response.batch.ys[i], direct.ys[i]);
   }
-  EXPECT_EQ(response.snapshot_version, ds_->snapshot()->version());
+  EXPECT_EQ(response.snapshot_version, snap->version());
   EXPECT_GT(response.seconds, 0.0);
 
   const auto stats = service.stats().totals();
@@ -110,7 +111,8 @@ TEST_F(ServiceFixture, LookupSubmitIsSeedDeterministic) {
 
 TEST_F(ServiceFixture, RecommendSubmitUsesManager) {
   fairms::ModelZoo zoo(db_);
-  const auto pdf = ds_->distribution(history_.xs);
+  const auto snap = ds_->snapshot();
+  const auto pdf = snap->distribution(history_.xs);
   const auto id = zoo.publish("braggnn", "h", pdf, {1, 2, 3});
   fairms::ModelManager manager(zoo, 1.0);
   service::DataService service({.workers = 2});
@@ -122,7 +124,7 @@ TEST_F(ServiceFixture, RecommendSubmitUsesManager) {
           .get();
   ASSERT_TRUE(response.pick.has_value());
   EXPECT_EQ(response.pick->model_id, id);
-  EXPECT_EQ(response.pdf.size(), ds_->n_clusters());
+  EXPECT_EQ(response.pdf.size(), snap->n_clusters());
   EXPECT_EQ(service.stats().totals().recommend_requests, 1u);
 
   const auto miss =
@@ -400,9 +402,11 @@ TEST(ShardedServing, UserPlaneResultsIdenticalAcrossShardCounts) {
       nn::Batchset labeled;
       fairds::ReuseStats reuse;
     } out;
-    out.pdf = ds.distribution(query.xs);
-    out.lookup = ds.lookup(query.xs, /*seed=*/7);
-    out.labeled = ds.lookup_or_label(query.xs, 0.75, zero_labeler, &out.reuse);
+    const auto snap = ds.snapshot();
+    out.pdf = snap->distribution(query.xs);
+    out.lookup = snap->lookup(query.xs, /*seed=*/7);
+    out.labeled =
+        snap->lookup_or_label(query.xs, 0.75, zero_labeler, &out.reuse);
     return out;
   };
 

@@ -1,10 +1,10 @@
-// Snapshot tests: the FairDS wrapper entry points and a directly held
-// Snapshot must agree bit-for-bit (wrapper/snapshot consistency — the
-// genuinely independent pre-rewrite reference lives in test_retrieval_path,
-// where legacy_lookup_or_label reimplements the reuse path against the raw
-// store), snapshot immutability across system-plane publishes (old versions
-// keep answering with old models), version monotonicity, and label-width
-// derivation over pre-existing collections.
+// Snapshot tests: lookup purity given a seed and a snapshot, snapshot
+// immutability across system-plane publishes (old versions keep answering
+// with old models), version monotonicity, label-width derivation over
+// pre-existing collections, and no snapshot before training. The
+// independent pre-rewrite reference for lookup_or_label lives in
+// test_retrieval_path, where legacy_lookup_or_label reimplements the reuse
+// path against the raw store.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -80,38 +80,6 @@ class SnapshotFixture : public ::testing::Test {
   nn::Batchset history_;
   std::unique_ptr<fairds::FairDS> ds_;
 };
-
-TEST_F(SnapshotFixture, WrappersAgreeWithHeldSnapshotBitForBit) {
-  const auto snap = ds_->snapshot();
-  ASSERT_NE(snap, nullptr);
-  const nn::Batchset query = regime_data(0.01, 24, 72);
-
-  expect_tensors_identical(ds_->embed(query.xs), snap->embed(query.xs),
-                           "embed");
-  EXPECT_EQ(ds_->distribution(query.xs), snap->distribution(query.xs));
-  EXPECT_DOUBLE_EQ(ds_->certainty(query.xs), snap->certainty(query.xs));
-
-  const auto via_ds = ds_->lookup(query.xs, 99);
-  const auto via_snap = snap->lookup(query.xs, 99);
-  expect_tensors_identical(via_ds.xs, via_snap.xs, "lookup.xs");
-  expect_tensors_identical(via_ds.ys, via_snap.ys, "lookup.ys");
-
-  const auto labeler = [](const Tensor& xs) {
-    return deterministic_labeler(xs, 2);
-  };
-  for (const double threshold : {1e9, 0.5, 1e-12}) {
-    fairds::ReuseStats ds_stats;
-    fairds::ReuseStats snap_stats;
-    const auto a = ds_->lookup_or_label(query.xs, threshold, labeler,
-                                        &ds_stats);
-    const auto b = snap->lookup_or_label(query.xs, threshold, labeler,
-                                         &snap_stats);
-    EXPECT_EQ(ds_stats.reused, snap_stats.reused);
-    EXPECT_EQ(ds_stats.computed, snap_stats.computed);
-    expect_tensors_identical(a.xs, b.xs, "lookup_or_label.xs");
-    expect_tensors_identical(a.ys, b.ys, "lookup_or_label.ys");
-  }
-}
 
 TEST_F(SnapshotFixture, LookupIsPureGivenSeedAndSnapshot) {
   const auto snap = ds_->snapshot();
@@ -202,7 +170,6 @@ TEST(SnapshotLifecycle, UntrainedFairDsHasNoSnapshot) {
   store::DocStore db;
   fairds::FairDS ds(small_config(), db);
   EXPECT_EQ(ds.snapshot(), nullptr);
-  EXPECT_FALSE(ds.trained());
 }
 
 }  // namespace
