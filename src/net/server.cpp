@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -31,7 +30,7 @@ constexpr int kPollMillis = 100;
 
 /// One accepted socket. The read side (in / want_close) belongs to the
 /// event-loop thread exclusively; the write buffer is shared with the
-/// completion threads under `mutex` — completers only ever append, the
+/// completion callbacks under `mutex` — callbacks only ever append, the
 /// event loop only ever flushes, and nobody touches the fd but the loop.
 struct Server::Connection {
   explicit Connection(int fd_in) : fd(fd_in) {}
@@ -83,11 +82,7 @@ struct Server::Connection {
 };
 
 Server::Server(service::DataService& service, ServerConfig config)
-    : service_(&service),
-      config_(std::move(config)),
-      // One waiter per service worker, so every concurrently executing
-      // request has a completer and completion order tracks the service.
-      completers_(std::max<std::size_t>(2, service.worker_count())) {
+    : service_(&service), config_(std::move(config)) {
   const int lfd = create_listener(config_.bind_address, config_.port);
   if (lfd < 0) {
     util::log_warn("net::Server: cannot listen on ", config_.bind_address,
@@ -164,30 +159,25 @@ bool Server::valid_batch_shape(const tensor::Tensor& xs,
          xs.dim(2) == snap->image_size() && xs.dim(3) == snap->image_size();
 }
 
-template <typename Response>
-void Server::finish(const std::shared_ptr<Connection>& conn, Op op,
-                    std::uint64_t correlation_id, std::future<Response> future,
-                    Bytes (*encoder)(const Response&)) {
-  // Shed futures are ready at dispatch: answer them from the event loop so
-  // the wire-level shed path is as O(1) as the in-process one and never
-  // waits behind a completion thread.
-  if (future.wait_for(std::chrono::seconds(0)) ==
-      std::future_status::ready) {
-    const Response response = future.get();
-    if (response.status == service::ServeStatus::kShedOverload) {
-      shed_responses_.fetch_add(1, std::memory_order_relaxed);
-    }
-    reply(conn, op, response.status, correlation_id, encoder(response));
-    return;
-  }
+template <typename Request, typename Response>
+void Server::dispatch(const std::shared_ptr<Connection>& conn, Op op,
+                      std::uint64_t correlation_id, Request request,
+                      Bytes (*encoder)(const Response&)) {
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
-  auto shared = std::make_shared<std::future<Response>>(std::move(future));
-  completers_.submit([this, conn, op, correlation_id, shared, encoder] {
-    const Response response = shared->get();
-    reply(conn, op, response.status, correlation_id, encoder(response));
-    outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-    wake();
-  });
+  // Runs on the worker that executed the request, or right here on the
+  // event loop for a shed. Takes only the connection's mutex.
+  service_->submit(
+      std::move(request),
+      [this, conn, op, correlation_id, encoder](Response response) {
+        if (response.status == service::ServeStatus::kShedOverload) {
+          shed_responses_.fetch_add(1, std::memory_order_relaxed);
+        }
+        reply(conn, op, response.status, correlation_id, encoder(response));
+        wake();
+        // Last touch of the Server: once this reaches zero, stop() may
+        // return and the Server may be destroyed.
+        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+      });
 }
 
 template <typename Request>
@@ -255,24 +245,21 @@ bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
       service::LabelRequest request;
       if (admit(conn, header, payload, &decode_label_request, &request)) {
         request.fallback_labeler = config_.fallback_labeler;
-        finish(conn, op, cid, service_->submit(std::move(request)),
-               &encode_label_response);
+        dispatch(conn, op, cid, std::move(request), &encode_label_response);
       }
       return true;
     }
     case Op::kLookup: {
       service::LookupRequest request;
       if (admit(conn, header, payload, &decode_lookup_request, &request)) {
-        finish(conn, op, cid, service_->submit(std::move(request)),
-               &encode_lookup_response);
+        dispatch(conn, op, cid, std::move(request), &encode_lookup_response);
       }
       return true;
     }
     case Op::kRecommend: {
       service::RecommendRequest request;
       if (admit(conn, header, payload, &decode_recommend_request, &request)) {
-        finish(conn, op, cid, service_->submit(std::move(request)),
-               &encode_recommend_response);
+        dispatch(conn, op, cid, std::move(request), &encode_recommend_response);
       }
       return true;
     }
@@ -415,7 +402,7 @@ void Server::loop() {
       }
     }
 
-    // Flush everything writable; completers may have appended since poll.
+    // Flush everything writable; callbacks may have appended since poll.
     for (auto& conn : connections_) {
       if (conn->closed.load(std::memory_order_acquire)) continue;
       const auto result = conn->flush();
@@ -427,7 +414,7 @@ void Server::loop() {
       }
     }
 
-    // Reap: completers may still hold a shared_ptr; dropping ours here
+    // Reap: callbacks may still hold a shared_ptr; dropping ours here
     // only ends the loop's interest. The fd dies with the last reference,
     // and enqueue() on a closed connection is a silent no-op.
     std::erase_if(connections_, [](const std::shared_ptr<Connection>& c) {

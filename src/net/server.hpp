@@ -1,19 +1,19 @@
 // net::Server — the binary-framed TCP serving front-end over DataService.
 //
-// Threading model (three tiers, none of which block each other):
+// Threading model (two tiers, neither of which blocks the other):
 //  * One event-loop thread owns the listening socket and every connection:
 //    poll()-driven accept, non-blocking reads, frame reassembly, dispatch,
 //    and non-blocking response writes. Cheap endpoints (hello, stats,
-//    request_retrain) are answered inline; shed requests — whose futures
-//    are ready at dispatch — are answered inline too, so the wire-level
-//    shed path stays O(1) exactly like the in-process one.
-//  * label / lookup / recommend requests dispatch onto the existing
-//    future-based DataService::submit() plane. A small completion pool
-//    waits on the not-immediately-ready futures, encodes the responses,
-//    and appends them to the connection's write buffer — so responses
-//    return in *completion* order, not request order, matched to their
-//    request by the correlation id the client chose.
-//  * The DataService's own worker pool executes the requests, untouched.
+//    request_retrain) are answered inline; shed requests are answered
+//    inline too — the service calls their completion callback before
+//    submit() returns — so the wire-level shed path stays O(1) exactly
+//    like the in-process one.
+//  * label / lookup / recommend requests dispatch onto the callback form
+//    of DataService::submit(). The service worker that executes a request
+//    runs its callback, which encodes the response, appends it to the
+//    connection's write buffer and wakes the event loop to send it — so
+//    responses return in *completion* order, not request order, matched
+//    to their request by the correlation id the client chose.
 //
 // Protocol discipline (see net/wire.hpp for the frame format):
 //  * Admission sheds map to ServeStatus::kShedOverload in the response
@@ -55,7 +55,6 @@
 #include "net/wire.hpp"
 #include "service/data_service.hpp"
 #include "tensor/tensor.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fairdms::net {
 
@@ -147,10 +146,12 @@ class Server {
   void reject(const std::shared_ptr<Connection>& conn,
               const FrameHeader& header, service::ServeStatus status,
               std::atomic<std::uint64_t>& counter);
-  template <typename Response>
-  void finish(const std::shared_ptr<Connection>& conn, Op op,
-              std::uint64_t correlation_id, std::future<Response> future,
-              Bytes (*encoder)(const Response&));
+  /// Submits an admitted request to the service; its completion callback
+  /// answers it on `conn` (see `outstanding_`).
+  template <typename Request, typename Response>
+  void dispatch(const std::shared_ptr<Connection>& conn, Op op,
+                std::uint64_t correlation_id, Request request,
+                Bytes (*encoder)(const Response&));
   void wake();
 
   service::DataService* service_;
@@ -162,8 +163,10 @@ class Server {
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_requested_{false};
-  /// Requests handed to the completion pool and not yet answered; the
-  /// event loop exits only at zero (with all buffers flushed).
+  /// Requests dispatched to the service and not yet answered; the event
+  /// loop exits only at zero (with all buffers flushed). A completion
+  /// callback's decrement is its last touch of the Server, so stop() —
+  /// and with it ~Server — can return while the service's workers live on.
   std::atomic<std::size_t> outstanding_{0};
 
   std::atomic<std::uint64_t> accepted_connections_{0};
@@ -177,7 +180,6 @@ class Server {
   /// Owned by the event-loop thread exclusively.
   std::vector<std::shared_ptr<Connection>> connections_;
 
-  util::ThreadPool completers_;
   std::thread loop_thread_;
   std::atomic<bool> stopped_{false};
 };

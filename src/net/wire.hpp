@@ -54,7 +54,7 @@ inline constexpr std::uint32_t kDefaultMaxPayload = 16u << 20;
 
 /// Operation codes. The endpoint surface mirrors the in-process
 /// DataService plane (plus the hello handshake): label / lookup /
-/// recommend dispatch onto the future-based submit() path; stats and
+/// recommend dispatch onto the callback form of submit(); stats and
 /// retrain are answered inline by the server.
 enum class Op : std::uint8_t {
   kHello = 0,      ///< version handshake; response payload: server limits

@@ -19,19 +19,6 @@ std::size_t worker_count_for(std::size_t configured) {
       2, static_cast<std::size_t>(std::thread::hardware_concurrency()));
 }
 
-/// Already-satisfied future carrying a rejection response: default payload,
-/// the given status (kShedOverload / kUnknownStream). The rejection path
-/// allocates no request copy and touches no snapshot — O(1) on the
-/// submitter's thread.
-template <typename Response>
-std::future<Response> rejected_future(ServeStatus status) {
-  std::promise<Response> promise;
-  Response response;
-  response.status = status;
-  promise.set_value(std::move(response));
-  return promise.get_future();
-}
-
 /// Lock-free monotonic max for the queue-depth high-water marks.
 void cas_max(std::atomic<std::uint64_t>& mark, std::uint64_t value) {
   std::uint64_t seen = mark.load(std::memory_order_relaxed);
@@ -98,35 +85,44 @@ bool DataService::has_model_manager(const std::string& stream) const {
 }
 
 template <typename Response, typename Request, typename Run>
-std::future<Response> DataService::submit_to_stream(Request request,
-                                                    Ledger ledger, Run run) {
+void DataService::submit_to_stream(Request request, Done<Response> done,
+                                   Ledger ledger, Run run) {
+  // Rejections answer on this thread: no copy, no snapshot, no worker.
+  const auto reject = [&done](ServeStatus status) {
+    Response response;
+    response.status = status;
+    done(std::move(response));
+  };
   auto stream = registry_.find(request.stream);
   if (stream == nullptr) {
     unknown_stream_requests_.fetch_add(1, std::memory_order_relaxed);
-    return rejected_future<Response>(ServeStatus::kUnknownStream);
+    return reject(ServeStatus::kUnknownStream);
   }
   if constexpr (std::is_same_v<Request, RecommendRequest>) {
     FAIRDMS_CHECK(stream->manager != nullptr, "RecommendRequest on stream '",
                   stream->name, "' without a ModelManager");
   }
-  const auto shed = [&stream, &ledger] {
-    util::MutexLock lock(stream->stats_mutex);
-    ++(stream->counters.*ledger.shed);
-    return rejected_future<Response>(ServeStatus::kShedOverload);
+  const auto shed = [&stream, &ledger, &reject] {
+    {
+      util::MutexLock lock(stream->stats_mutex);
+      ++(stream->counters.*ledger.shed);
+    }
+    reject(ServeStatus::kShedOverload);
   };
   {
     util::MutexLock lock(stream->stats_mutex);
     ++(stream->counters.*ledger.requests);
   }
   if (!reserve_pending(*stream)) return shed();
-  auto req = std::make_shared<Request>(std::move(request));
-  auto admitted = workers_.try_async([this, stream, req, ledger, run] {
+  // The task holds a copy of `done`: a full pool destroys the task, and the
+  // shed answer below still needs the callback.
+  auto task = [this, stream, req = std::move(request), done, ledger, run] {
     stream->pending.fetch_sub(1, std::memory_order_acq_rel);
     util::WallTimer timer;
     const auto snap = stream->ds->snapshot();
     FAIRDMS_CHECK(snap != nullptr, "DataService: stream '", stream->name,
                   "' not trained");
-    Response response = run(*stream, *snap, *req);
+    Response response = run(*stream, *snap, req);
     response.snapshot_version = snap->version();
     response.seconds = timer.seconds();
     {
@@ -134,7 +130,7 @@ std::future<Response> DataService::submit_to_stream(Request request,
       StreamStats& counters = stream->counters;
       ++(counters.*ledger.answered);
       if constexpr (std::is_same_v<Request, LabelRequest>) {
-        counters.samples_labeled += req->xs.dim(0);
+        counters.samples_labeled += req.xs.dim(0);
         counters.labels_reused += response.reuse.reused;
         counters.labels_computed += response.reuse.computed;
       }
@@ -145,25 +141,24 @@ std::future<Response> DataService::submit_to_stream(Request request,
     if constexpr (std::is_same_v<Request, LabelRequest>) {
       // Serving-side Fig. 16 policy: the data just labeled doubles as the
       // drift probe, gated by this stream's RetrainPolicy.
-      maybe_auto_retrain(stream, req->xs);
+      maybe_auto_retrain(stream, req.xs);
     }
-    return response;
-  });
-  if (!admitted) {
+    done(std::move(response));
+  };
+  if (!workers_.try_submit(std::move(task))) {
     stream->pending.fetch_sub(1, std::memory_order_acq_rel);
     return shed();
   }
   // Service-wide half of the admission ledger: the shared pool's high-water
   // mark (the per-stream one was taken by reserve_pending).
   cas_max(max_queue_depth_, workers_.queue_depth());
-  return std::move(*admitted);
 }
 
-std::future<LabelResponse> DataService::submit(LabelRequest request) {
+void DataService::submit(LabelRequest request, Done<LabelResponse> done) {
   FAIRDMS_CHECK(request.fallback_labeler != nullptr,
                 "LabelRequest without a fallback labeler");
-  return submit_to_stream<LabelResponse>(
-      std::move(request),
+  submit_to_stream<LabelResponse>(
+      std::move(request), std::move(done),
       {&StreamStats::label_requests, &StreamStats::label_answered,
        &StreamStats::label_shed},
       [](const Stream&, const fairds::Snapshot& snap,
@@ -175,9 +170,9 @@ std::future<LabelResponse> DataService::submit(LabelRequest request) {
       });
 }
 
-std::future<LookupResponse> DataService::submit(LookupRequest request) {
-  return submit_to_stream<LookupResponse>(
-      std::move(request),
+void DataService::submit(LookupRequest request, Done<LookupResponse> done) {
+  submit_to_stream<LookupResponse>(
+      std::move(request), std::move(done),
       {&StreamStats::lookup_requests, &StreamStats::lookup_answered,
        &StreamStats::lookup_shed},
       [](const Stream&, const fairds::Snapshot& snap,
@@ -188,9 +183,10 @@ std::future<LookupResponse> DataService::submit(LookupRequest request) {
       });
 }
 
-std::future<RecommendResponse> DataService::submit(RecommendRequest request) {
-  return submit_to_stream<RecommendResponse>(
-      std::move(request),
+void DataService::submit(RecommendRequest request,
+                         Done<RecommendResponse> done) {
+  submit_to_stream<RecommendResponse>(
+      std::move(request), std::move(done),
       {&StreamStats::recommend_requests, &StreamStats::recommend_answered,
        &StreamStats::recommend_shed},
       [](const Stream& stream, const fairds::Snapshot& snap,

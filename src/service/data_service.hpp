@@ -11,17 +11,18 @@
 // empty id maps to kDefaultStreamName.
 //
 // Two planes per stream, shared worker pool:
-//  * User plane: submit() routes the request to its stream, enqueues it on
-//    the shared worker pool, and returns a std::future. Each request loads
+//  * User plane: submit() routes the request to its stream and enqueues it
+//    on the shared worker pool; the worker that executes it calls the
+//    request's completion callback with the response. Each request loads
 //    that stream's current immutable snapshot and runs lock-free against
 //    it. Admission is two-level: the per-stream bound
 //    (StreamConfig::max_pending) sheds a single saturated tenant without
 //    touching the others, then the service-wide bound
 //    (DataServiceConfig::max_pending) sheds when the whole facility is
-//    full. Both shed with an immediately-ready kShedOverload response —
-//    never by blocking the submitter. A request naming an unregistered
-//    stream is answered the same way with kUnknownStream (a structured
-//    status, not an abort).
+//    full. Both shed with a kShedOverload response answered before
+//    submit() returns — never by blocking the submitter. A request naming
+//    an unregistered stream is answered the same way with kUnknownStream
+//    (a structured status, not an abort).
 //  * System plane: each stream owns a dedicated single-thread retrain
 //    executor, so one tenant's retrain storm serializes behind its own
 //    executor and never queues in front of another tenant's checks. At
@@ -38,9 +39,11 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "service/dtos.hpp"
@@ -50,6 +53,10 @@
 #include "util/thread_pool.hpp"
 
 namespace fairdms::service {
+
+/// Completion callback of a user-plane request (see DataService::submit).
+template <typename Response>
+using Done = std::function<void(Response)>;
 
 struct DataServiceConfig {
   /// User-plane worker threads; 0 => max(2, hardware_concurrency) so even
@@ -91,10 +98,30 @@ class DataService {
   [[nodiscard]] std::vector<std::string> stream_names() const;
 
   // --- user plane -----------------------------------------------------------
-  [[nodiscard]] std::future<LabelResponse> submit(LabelRequest request);
-  [[nodiscard]] std::future<LookupResponse> submit(LookupRequest request);
-  [[nodiscard]] std::future<RecommendResponse> submit(
-      RecommendRequest request);
+  /// Submits `request`; `done` is called exactly once with its response,
+  /// with no service lock held. Unknown-stream and shed answers call it on
+  /// the submitter's thread before submit() returns; an admitted request
+  /// calls it on the worker that executed it, once the stream's ledger
+  /// counts it answered. `done` occupies that worker while it runs. An
+  /// exception escaping a request (from a caller's labeler, say) is not
+  /// forwarded: like any exception in a pool task, it ends the process.
+  void submit(LabelRequest request, Done<LabelResponse> done);
+  void submit(LookupRequest request, Done<LookupResponse> done);
+  void submit(RecommendRequest request, Done<RecommendResponse> done);
+  /// Future adapter over the callback form, for in-process callers: the
+  /// future is ready when `done` would have run — already ready on return
+  /// for unknown-stream and shed answers.
+  template <typename Request>
+  [[nodiscard]] std::future<typename Request::Response> submit(
+      Request request) {
+    using Response = typename Request::Response;
+    auto promise = std::make_shared<std::promise<Response>>();
+    std::future<Response> future = promise->get_future();
+    submit(std::move(request), [promise](Response response) {
+      promise->set_value(std::move(response));
+    });
+    return future;
+  }
 
   // --- system plane ---------------------------------------------------------
   /// Enqueues an async certainty check (and retrain, if certainty is below
@@ -135,12 +162,12 @@ class DataService {
   /// The three StreamStats counters one user-plane op owns.
   struct Ledger;
   /// The one user-plane request path behind every submit() overload:
-  /// stream routing, two-level admission, timing, accounting and both shed
-  /// paths. `run` is the op body, executed on a worker against the stream's
-  /// current snapshot.
+  /// stream routing, two-level admission, timing, accounting, both shed
+  /// paths and the call to `done`. `run` is the op body, executed on a
+  /// worker against the stream's current snapshot.
   template <typename Response, typename Request, typename Run>
-  std::future<Response> submit_to_stream(Request request, Ledger ledger,
-                                         Run run);
+  void submit_to_stream(Request request, Done<Response> done, Ledger ledger,
+                        Run run);
   /// The fig16 policy gate, evaluated after an answered label request.
   void maybe_auto_retrain(const std::shared_ptr<Stream>& stream,
                           const Tensor& xs);

@@ -1,7 +1,8 @@
 // Request/response DTOs of the fairDMS serving layer.
 //
 // The service API is asynchronous: clients build a request, submit() it to
-// the DataService, and get a std::future for the response. Requests carry
+// the DataService with a completion callback (or take a std::future from
+// the in-process adapter), and receive the response. Requests carry
 // everything the user plane needs; responses carry the result plus serving
 // metadata (which model version answered, how long execution took), so
 // clients can detect when a background retrain has published a new model
@@ -26,11 +27,11 @@ using tensor::Tensor;
 /// Serving outcome of a submitted request. Every response carries one:
 /// kOk means the request executed against a snapshot; kShedOverload means
 /// the service's bounded pending queue was full at submission time and the
-/// request was rejected *without* executing — its future is ready
-/// immediately, its payload is default-constructed, and the caller is
+/// request was rejected *without* executing — it is answered before
+/// submit() returns, its payload is default-constructed, and the caller is
 /// expected to back off and retry. Shedding is the load policy (paper's
 /// beamline bursts + retrain storms): a saturated service answers "not
-/// now" in O(1) instead of growing an unbounded future backlog.
+/// now" in O(1) instead of growing an unbounded backlog.
 ///
 /// The remaining statuses are produced by the wire front-end (src/net/),
 /// which answers over the same response DTOs: kMalformedRequest means the
@@ -42,9 +43,9 @@ using tensor::Tensor;
 ///
 /// kUnknownStream means the request named a stream the service has not
 /// registered. It is a structured answer, not an abort: the in-process
-/// path returns an immediately-ready future carrying it, the wire path
-/// answers it on a connection that stays usable — a hostile or stale
-/// stream id can never crash the service or poison the connection.
+/// path answers it before submit() returns, the wire path answers it on a
+/// connection that stays usable — a hostile or stale stream id can never
+/// crash the service or poison the connection.
 enum class ServeStatus : std::uint8_t {
   kOk = 0,
   kShedOverload = 1,
@@ -73,12 +74,17 @@ enum class ServeStatus : std::uint8_t {
 /// field empty — what single-tenant callers register their one stream as.
 inline constexpr const char* kDefaultStreamName = "default";
 
+struct LabelResponse;
+struct LookupResponse;
+struct RecommendResponse;
+
 /// Per-sample label acquisition (the Fig. 9 reuse workload): reuse stored
 /// labels within `threshold` embedding distance, fall back to
 /// `fallback_labeler` for the rest. The labeler may be invoked on the
 /// service's worker threads and must be thread-compatible (it is called at
 /// most once per request, never concurrently within one request).
 struct LabelRequest {
+  using Response = LabelResponse;
   Tensor xs;  ///< [N, 1, S, S]
   double threshold = 0.5;
   std::function<Tensor(const Tensor&)> fallback_labeler;
@@ -97,6 +103,7 @@ struct LabelResponse {
 /// history. `seed` drives all sampling, so identical requests against the
 /// same model version return identical batches.
 struct LookupRequest {
+  using Response = LookupResponse;
   Tensor xs;  ///< [N, 1, S, S]
   std::uint64_t seed = 0;
   std::string stream = {};  ///< target stream; empty => kDefaultStreamName
@@ -112,6 +119,7 @@ struct LookupResponse {
 /// Foundation-model recommendation: rank the zoo's `architecture` models by
 /// JSD between their training-data PDF and the PDF of `xs`.
 struct RecommendRequest {
+  using Response = RecommendResponse;
   std::string architecture;
   Tensor xs;  ///< [N, 1, S, S]
   std::string stream = {};  ///< target stream; empty => kDefaultStreamName

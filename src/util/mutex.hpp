@@ -39,7 +39,6 @@ enum class LockRank : int {
   kWorkflow = 80,      ///< workflow::FuncXRegistry / TransferService
   kDataLoader = 82,    ///< store::DataLoader::mutex_
   kNfsMeta = 84,       ///< store::NfsStore::meta_mutex_
-  kNetServer = 85,     ///< net::Server state (drain bookkeeping)
   kNetConnection = 86, ///< net::Server per-connection write buffer
   kTaskLocal = 88,     ///< function-local mutexes inside pool tasks
   kLogging = 90,       ///< util/logging emit mutex (innermost)

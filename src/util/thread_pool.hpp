@@ -10,12 +10,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
-#include <memory>
-#include <optional>
 #include <queue>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "util/annotations.hpp"
@@ -27,10 +23,10 @@ class ThreadPool {
  public:
   /// `threads == 0` means hardware_concurrency (at least 1).
   /// `max_queue` bounds the number of *waiting* tasks admitted through
-  /// try_submit/try_async (tasks already executing don't count); 0 means
-  /// unbounded. submit()/parallel_for ignore the bound — they are
-  /// the internal data-parallel substrate and must never fail — so the
-  /// bound only governs callers that opt into admission control.
+  /// try_submit (tasks already executing don't count); 0 means unbounded.
+  /// submit()/parallel_for ignore the bound — they are the internal
+  /// data-parallel substrate and must never fail — so the bound only
+  /// governs callers that opt into admission control.
   explicit ThreadPool(std::size_t threads = 0, std::size_t max_queue = 0);
   ~ThreadPool();
 
@@ -49,23 +45,6 @@ class ThreadPool {
   /// on a saturated queue would just move the unbounded backlog into the
   /// callers.
   [[nodiscard]] bool try_submit(std::function<void()> task);
-
-  /// Bounded enqueue with a std::future for the result (exceptions
-  /// propagate through the future); the request-submission substrate of
-  /// the service layer. nullopt means the queue was full and the callable
-  /// was not (and will never be) invoked.
-  template <typename F>
-  [[nodiscard]] auto try_async(F&& fn)
-      -> std::optional<std::future<std::invoke_result_t<F>>> {
-    using R = std::invoke_result_t<F>;
-    // shared_ptr wrapper because std::function requires copyable targets
-    // and packaged_task is move-only.
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    if (!try_submit([task] { (*task)(); })) return std::nullopt;
-    return result;
-  }
 
   /// Tasks admitted but not yet picked up by a worker (the backlog the
   /// max_queue bound applies to). A point-in-time gauge: concurrent

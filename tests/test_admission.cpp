@@ -1,10 +1,11 @@
-// Admission-control tests: the bounded ThreadPool queue (try_submit /
-// try_async semantics), the DataService load-shedding policy (a saturated
-// pending queue rejects with ServeStatus::kShedOverload, immediately and
-// without ever blocking the submitter), full drain after a burst, and the
-// admission ledger (per-op submitted == answered + shed, queue gauges,
-// retrain coalescing counter). Carries the `service` label, so the TSan CI
-// job and the Release `--repeat until-fail:3` stress step cover it.
+// Admission-control tests: the bounded ThreadPool queue (try_submit
+// semantics), the DataService load-shedding policy (a saturated pending
+// queue rejects with ServeStatus::kShedOverload, answered before submit()
+// returns and without ever blocking the submitter), full drain after a
+// burst, and the admission ledger (per-op submitted == answered + shed,
+// queue gauges, retrain coalescing counter). Carries the `service` label,
+// so the TSan CI job and the Release `--repeat until-fail:3` stress step
+// cover it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,25 +90,6 @@ TEST(BoundedThreadPool, UnboundedPoolNeverRejects) {
   EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(BoundedThreadPool, TryAsyncReturnsNulloptWhenFull) {
-  util::ThreadPool pool(1, /*max_queue=*/1);
-  WorkerGate gate;
-  pool.submit(gate.task());
-  gate.wait_entered();
-  auto accepted = pool.try_async([] { return 7; });
-  ASSERT_TRUE(accepted.has_value());
-  std::atomic<bool> leaked{false};
-  auto rejected = pool.try_async([&leaked] {
-    leaked.store(true);
-    return 8;
-  });
-  EXPECT_FALSE(rejected.has_value());
-  gate.open();
-  pool.wait_idle();
-  EXPECT_EQ(accepted->get(), 7);
-  EXPECT_FALSE(leaked.load());  // the rejected callable was never invoked
-}
-
 // --- DataService load shedding ----------------------------------------------
 
 fairds::FairDSConfig small_config() {
@@ -174,9 +156,15 @@ TEST_F(AdmissionFixture, SaturatedQueueShedsWithDocumentedStatus) {
       service::LabelRequest{query_.xs, -1.0, gated_labeler(gate)});
   gate.wait_entered();  // worker pinned, queue empty
 
-  // Fills the single pending slot.
-  auto queued = service.submit(
-      service::LabelRequest{query_.xs, 1e9, fast_labeler()});
+  // Fills the single pending slot. Callback form: the ledger read from
+  // inside the callback already counts this request answered.
+  std::promise<std::uint64_t> answered_in_callback;
+  service.submit(service::LabelRequest{query_.xs, 1e9, fast_labeler()},
+                 [&](service::LabelResponse response) {
+                   EXPECT_EQ(response.status, service::ServeStatus::kOk);
+                   answered_in_callback.set_value(
+                       service.stats().totals().label_answered);
+                 });
   // Queue full: shed with the documented status, future ready immediately,
   // payload default-constructed.
   auto shed = service.submit(
@@ -188,19 +176,32 @@ TEST_F(AdmissionFixture, SaturatedQueueShedsWithDocumentedStatus) {
   EXPECT_EQ(shed_response.batch.ys.numel(), 0u);
   EXPECT_EQ(shed_response.snapshot_version, 0u);
   EXPECT_EQ(shed_response.reuse.reused + shed_response.reuse.computed, 0u);
+  // Callback form: the shed callback has run, exactly once, on this thread
+  // by the time submit() returns.
+  int shed_calls = 0;
+  service::ServeStatus shed_status = service::ServeStatus::kOk;
+  service.submit(service::LabelRequest{query_.xs, 1e9, fast_labeler()},
+                 [&](service::LabelResponse response) {
+                   ++shed_calls;
+                   shed_status = response.status;
+                 });
+  EXPECT_EQ(shed_calls, 1);
+  EXPECT_EQ(shed_status, service::ServeStatus::kShedOverload);
   // The worker is still pinned: the shed decision never waited on it.
   EXPECT_TRUE(gate.entered.load());
 
   gate.open();
   EXPECT_EQ(occupant.get().status, service::ServeStatus::kOk);
-  EXPECT_EQ(queued.get().status, service::ServeStatus::kOk);
+  // Occupant and queued request, in that order, on the single worker.
+  EXPECT_EQ(answered_in_callback.get_future().get(), 2u);
   service.wait_idle();
+  EXPECT_EQ(shed_calls, 1);
 
   const auto stats = service.stats();
   const auto totals = stats.totals();
-  EXPECT_EQ(totals.label_requests, 3u);
+  EXPECT_EQ(totals.label_requests, 4u);
   EXPECT_EQ(totals.label_answered, 2u);
-  EXPECT_EQ(totals.label_shed, 1u);
+  EXPECT_EQ(totals.label_shed, 2u);
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_EQ(stats.max_pending, 1u);
   EXPECT_LE(stats.max_queue_depth, 1u);

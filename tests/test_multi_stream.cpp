@@ -248,8 +248,9 @@ TEST_F(MultiStreamFixture, PerStreamBoundShedsOnlyTheSaturatedTenant) {
   EXPECT_EQ(s1.label_shed, 0u);
 }
 
-// An unregistered stream id gets an immediately-ready structured answer on
-// every op; the service keeps serving registered streams afterwards.
+// An unregistered stream id gets a structured answer, before submit()
+// returns, on every op; the service keeps serving registered streams
+// afterwards.
 TEST_F(MultiStreamFixture, UnknownStreamIsAStructuredAnswerNotAnAbort) {
   service::DataService service({.workers = 1});
   add_all(service);
@@ -261,9 +262,16 @@ TEST_F(MultiStreamFixture, UnknownStreamIsAStructuredAnswerNotAnAbort) {
             std::future_status::ready);
   EXPECT_EQ(label.get().status, service::ServeStatus::kUnknownStream);
 
-  auto lookup = service.submit(
-      service::LookupRequest{query.xs, 1, "never-added"});
-  EXPECT_EQ(lookup.get().status, service::ServeStatus::kUnknownStream);
+  // Callback form: answered inline, exactly once, before submit() returns.
+  int lookup_calls = 0;
+  service::ServeStatus lookup_status = service::ServeStatus::kOk;
+  service.submit(service::LookupRequest{query.xs, 1, "never-added"},
+                 [&](service::LookupResponse response) {
+                   ++lookup_calls;
+                   lookup_status = response.status;
+                 });
+  EXPECT_EQ(lookup_calls, 1);
+  EXPECT_EQ(lookup_status, service::ServeStatus::kUnknownStream);
   auto recommend = service.submit(
       service::RecommendRequest{"braggnn", query.xs, "never-added"});
   EXPECT_EQ(recommend.get().status, service::ServeStatus::kUnknownStream);

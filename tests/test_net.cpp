@@ -7,13 +7,16 @@
 // admission shedding (kShedOverload with an empty payload, answered in
 // O(1) while the workers are wedged), out-of-order responses matched by
 // correlation id, and the graceful drain protocol (in-flight requests
-// complete, new user-plane frames get kShuttingDown, stats stays up).
+// complete, new user-plane frames get kShuttingDown, stats stays up, stop()
+// returns only once the in-flight reply is flushed, and the service
+// outlives the Server).
 // Carries the `service` label: the TSan CI job and the Release
 // `--repeat until-fail:3` stress step run exactly this kind of suite.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -665,8 +668,8 @@ TEST_F(NetFixture, AdmissionShedMapsToWireStatusInO1) {
   ASSERT_NE(wedge_cid, 0u);
   gate.wait_entered();  // the only worker is now wedged
 
-  // One more fits the pending queue; the rest must shed at the wire level
-  // with an immediately-ready empty response.
+  // One more fits the pending queue; the rest must shed at the wire level,
+  // answered by the event loop itself with an empty response.
   const std::uint64_t queued_cid =
       client.send_label({query.xs, -1.0, nullptr});
   std::vector<std::uint64_t> shed_cids;
@@ -765,6 +768,50 @@ TEST_F(NetFixture, GracefulDrainCompletesInFlightAndRefusesNewWork) {
 
   served.server->stop();  // idempotent with the destructor
   served.server->stop();
+}
+
+// stop() waits for the in-flight request's reply to reach the socket, and
+// the service's workers outlive the Server: its completion callback's last
+// touch of the Server is the one stop() waits for.
+TEST_F(NetFixture, StopFlushesInFlightReplyAndServiceOutlivesServer) {
+  LabelerGate gate;
+  auto served = serve({.workers = 1}, gate.labeler());
+  net::Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", served.server->port()));
+
+  const nn::Batchset query = regime_data(0.0, 4, 106);
+  const std::uint64_t inflight_cid =
+      client.send_label({query.xs, -1.0, nullptr});
+  ASSERT_NE(inflight_cid, 0u);
+  gate.wait_entered();  // the only worker is wedged in the request
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    served.server->stop();
+    stopped.store(true);
+  });
+  // Two event-loop polls: long enough for a stop() that ignored the
+  // in-flight request to have returned.
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_FALSE(stopped.load());
+
+  gate.open();
+  stopper.join();
+  // stop() has returned and the loop has closed its sockets, so the reply
+  // must already have been flushed.
+  const auto reply = client.recv_reply();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->header.correlation_id, inflight_cid);
+  EXPECT_EQ(reply->header.status, service::ServeStatus::kOk);
+
+  // Destroy the Server while the worker may still be finishing the wire
+  // request's task and the service serves one more in-process request.
+  auto in_process = served.service->submit(
+      service::LabelRequest{query.xs, 1e9, zero_labeler});
+  served.server.reset();
+  EXPECT_EQ(in_process.get().status, service::ServeStatus::kOk);
+  served.service->wait_idle();
+  EXPECT_EQ(served.service->stats().totals().label_answered, 2u);
 }
 
 TEST_F(NetFixture, ConcurrentClientsStressTheFrontEnd) {
