@@ -11,6 +11,7 @@
 // pre-rewrite implementation (one find_eq + one full-document fetch and
 // decode per cluster member, per query) against the reuse-index rewrite
 // (in-memory SoA nearest-neighbor search + one batched projected read).
+// Every time in (2) and (3) is the median of bench::kTimedRepeats calls.
 //
 // Run with `abl_retrieval small` for the CI smoke preset (minutes -> seconds);
 // the default full preset is what EXPERIMENTS.md records.
@@ -69,6 +70,18 @@ std::vector<std::size_t> top_k(const fairdms::nn::Tensor& base,
   for (std::size_t i = 0; i < k; ++i) out[i] = dist[i].second;
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Median wall time of bench::kTimedRepeats calls of `fn`, in ms.
+template <typename Fn>
+double median_millis(const Fn& fn) {
+  std::vector<double> ms;
+  for (std::size_t r = 0; r < fairdms::bench::kTimedRepeats; ++r) {
+    const fairdms::util::WallTimer timer;
+    fn();
+    ms.push_back(timer.millis());
+  }
+  return fairdms::bench::median(std::move(ms));
 }
 
 /// Mean fraction of shared members between straight- and rotated-query
@@ -157,9 +170,10 @@ int main(int argc, char** argv) {
 
     fairds::PixelNnBaseline pixel(15);
     pixel.ingest(history.xs, history.ys);
-    util::WallTimer pixel_timer;
-    bench::do_not_optimize(pixel.lookup(queries.xs));
-    const double pixel_ms = pixel_timer.millis() / 32.0;
+    const auto pixel_lookup = [&] {
+      bench::do_not_optimize(pixel.lookup(queries.xs));
+    };
+    const double pixel_ms = median_millis(pixel_lookup) / 32.0;
 
     store::DocStore db;
     fairds::FairDSConfig config;
@@ -171,9 +185,10 @@ int main(int argc, char** argv) {
     ds.train_system(history.xs);
     ds.ingest(history.xs, history.ys, "history");
     const auto snap = ds.snapshot();
-    util::WallTimer ds_timer;
-    bench::do_not_optimize(snap->lookup(queries.xs, kSeed + 4));
-    const double ds_ms = ds_timer.millis() / 32.0;
+    const auto ds_lookup = [&] {
+      bench::do_not_optimize(snap->lookup(queries.xs, kSeed + 4));
+    };
+    const double ds_ms = median_millis(ds_lookup) / 32.0;
     bench::print_row(history_size, pixel_ms, ds_ms);
   }
 
@@ -205,16 +220,18 @@ int main(int argc, char** argv) {
       return nn::Tensor({xs.dim(0), 2});
     };
 
-    util::WallTimer legacy_timer;
-    bench::do_not_optimize(fairds::legacy_lookup_or_label(
-        ds, db, queries.xs, 1e9, never_called));
-    const double legacy_ms = legacy_timer.millis() / nq;
+    const auto legacy_reuse = [&] {
+      bench::do_not_optimize(fairds::legacy_lookup_or_label(
+          ds, db, queries.xs, 1e9, never_called));
+    };
+    const double legacy_ms = median_millis(legacy_reuse) / nq;
 
     const auto snap = ds.snapshot();
-    util::WallTimer index_timer;
-    bench::do_not_optimize(
-        snap->lookup_or_label(queries.xs, 1e9, never_called));
-    const double index_ms = index_timer.millis() / nq;
+    const auto index_reuse = [&] {
+      bench::do_not_optimize(
+          snap->lookup_or_label(queries.xs, 1e9, never_called));
+    };
+    const double index_ms = median_millis(index_reuse) / nq;
 
     bench::print_row(history_size, legacy_ms, index_ms,
                      legacy_ms / index_ms);

@@ -44,6 +44,19 @@ void print_row(const Cells&... cells) {
   std::printf("\n");
 }
 
+/// How many times a bench times one table cell; the cell reports the
+/// median, so a single descheduled run on a shared host cannot set it.
+inline constexpr std::size_t kTimedRepeats = 5;
+
+/// Median of repeated timings (the mean of the middle two for an even
+/// count; 0 for none).
+inline double median(std::vector<double> xs) {
+  if (xs.empty()) return 0.0;
+  std::sort(xs.begin(), xs.end());
+  const std::size_t mid = xs.size() / 2;
+  return xs.size() % 2 == 1 ? xs[mid] : 0.5 * (xs[mid - 1] + xs[mid]);
+}
+
 /// Keeps a timed result observably alive so the compiler cannot drop the
 /// measured computation (and [[nodiscard]] stays satisfied).
 template <typename T>

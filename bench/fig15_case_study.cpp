@@ -15,7 +15,7 @@
 
 #include "core/fairdms.hpp"
 #include "labeling/frame_label.hpp"
-#include "workflow/flow.hpp"
+#include "workflow/transfer.hpp"
 #include "zoo_common.hpp"
 
 namespace {

@@ -57,6 +57,7 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "service/data_service.hpp"
+#include "util/bytes.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -608,7 +609,8 @@ struct ClientReport {
 };
 
 net::Bytes encode_report(const ClientReport& r) {
-  net::WireWriter w;
+  net::Bytes body;
+  util::ByteWriter w(body);
   w.u8(r.transport_ok ? 1 : 0);
   w.u8(r.probe_ok ? 1 : 0);
   for (const OpTally& t : r.tally) {
@@ -618,10 +620,10 @@ net::Bytes encode_report(const ClientReport& r) {
     w.u32(static_cast<std::uint32_t>(t.latencies.size()));
     for (const double s : t.latencies) w.f64(s);
   }
-  net::WireWriter framed;
-  framed.u32(static_cast<std::uint32_t>(w.bytes().size()));
-  net::Bytes out = framed.take();
-  out.insert(out.end(), w.bytes().begin(), w.bytes().end());
+  net::Bytes out;
+  util::ByteWriter framed(out);
+  framed.u32(static_cast<std::uint32_t>(body.size()));
+  framed.bytes(body);
   return out;
 }
 
@@ -629,12 +631,12 @@ bool read_report(int fd, ClientReport* r) {
   std::uint8_t len_bytes[4];
   std::uint32_t len = 0;
   if (!net::read_exact(fd, len_bytes, 4) ||
-      !net::WireReader(len_bytes).u32(&len)) {
+      !util::ByteReader(len_bytes).u32(&len)) {
     return false;
   }
   net::Bytes blob(len);
   if (!net::read_exact(fd, blob.data(), len)) return false;
-  net::WireReader reader(blob);
+  util::ByteReader reader(blob);
   std::uint8_t transport = 0;
   std::uint8_t probe = 0;
   if (!reader.u8(&transport) || !reader.u8(&probe)) return false;
@@ -663,7 +665,7 @@ int run_wire_client(const Preset& p, std::size_t client, int port_fd,
   std::uint8_t port_bytes[2];
   std::uint16_t port = 0;
   if (!net::read_exact(port_fd, port_bytes, 2) ||
-      !net::WireReader(port_bytes).u16(&port)) {
+      !util::ByteReader(port_bytes).u16(&port)) {
     return 3;
   }
   net::Client client_conn;
@@ -971,10 +973,10 @@ Report run_wire(const Preset& p, std::uint16_t port) {
                                       std::to_string(port));
 
   const util::WallTimer wall;
-  net::WireWriter port_bytes;
-  port_bytes.u16(port);
+  net::Bytes port_bytes;
+  util::ByteWriter(port_bytes).u16(port);
   for (const Child& child : children) {
-    (void)net::write_all(child.port_wr, port_bytes.bytes().data(), 2);
+    (void)net::write_all(child.port_wr, port_bytes.data(), 2);
     ::close(child.port_wr);
   }
   // Reports fit in a pipe buffer, so no child blocks on an unread pipe.

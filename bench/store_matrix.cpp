@@ -4,7 +4,9 @@
 // (storage engine x shard count) grid on a fresh collection: insert,
 // secondary-index backfill, point reads, projected batch reads, field
 // updates, indexed lookups, deletes, compaction, and (durable engines
-// only) a cold reopen that replays the on-disk segments. Single-threaded
+// only) a cold reopen that replays the on-disk segments. Each cell runs
+// bench::kTimedRepeats times, each on a fresh collection and directory,
+// and every op reports its median time over those runs. Single-threaded
 // on purpose: with the RemoteLink wire model disabled, the numbers isolate
 // per-engine storage cost — the MemEngine/LogEngine gap IS the price of
 // durability, and the shard axis shows the engine seam composing with
@@ -84,15 +86,13 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// One grid cell: the full CRUD sequence on a fresh collection.
-void run_cell(store::EngineKind kind, std::size_t shards,
-              const Preset& preset, const std::string& data_root,
+/// One run of a grid cell: the full CRUD sequence on a fresh collection
+/// (in `dir` for durable engines). Appends one row per op, in order.
+void run_once(store::EngineKind kind, std::size_t shards,
+              const Preset& preset, const std::string& dir,
               std::vector<Row>& rows) {
   store::StorageEngineConfig engine;
   engine.kind = kind;
-  const std::string dir =
-      data_root + "/cell_" + store::to_string(kind) + "_" +
-      std::to_string(shards);
   if (kind == store::EngineKind::kLog) engine.directory = dir;
 
   util::Rng rng(kSeed);
@@ -106,8 +106,6 @@ void run_cell(store::EngineKind kind, std::size_t shards,
                                                  engine);
   const auto record = [&](const char* op, std::size_t ops, double seconds) {
     rows.push_back(Row{store::to_string(kind), shards, op, ops, seconds});
-    print_row(store::to_string(kind), shards, op, ops, seconds,
-              rows.back().ops_per_s());
   };
 
   std::vector<store::DocId> ids;
@@ -192,6 +190,29 @@ void run_cell(store::EngineKind kind, std::size_t shards,
                    live, col->size());
       std::exit(1);
     }
+  }
+}
+
+/// One grid cell: bench::kTimedRepeats runs, each op's median printed and
+/// appended to `rows`.
+void run_cell(store::EngineKind kind, std::size_t shards,
+              const Preset& preset, const std::string& data_root,
+              std::vector<Row>& rows) {
+  std::vector<std::vector<Row>> runs(bench::kTimedRepeats);
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    run_once(kind, shards, preset,
+             data_root + "/cell_" + store::to_string(kind) + "_" +
+                 std::to_string(shards) + "_run" + std::to_string(r),
+             runs[r]);
+  }
+  for (std::size_t op = 0; op < runs[0].size(); ++op) {
+    std::vector<double> seconds;
+    for (const std::vector<Row>& run : runs) seconds.push_back(run[op].seconds);
+    Row row = runs[0][op];
+    row.seconds = bench::median(std::move(seconds));
+    print_row(row.engine, row.shards, row.op, row.ops, row.seconds,
+              row.ops_per_s());
+    rows.push_back(std::move(row));
   }
 }
 

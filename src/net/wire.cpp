@@ -1,8 +1,5 @@
 #include "net/wire.hpp"
 
-#include <cstring>
-#include <limits>
-
 namespace fairdms::net {
 
 namespace {
@@ -13,17 +10,12 @@ namespace {
 /// the peer actually sent.
 constexpr std::size_t kMaxTensorRank = 8;
 
-void append_le(Bytes& out, std::uint64_t v, std::size_t n_bytes) {
-  for (std::size_t i = 0; i < n_bytes; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
 /// Number of fixed-width fields in a stats stream block (after its name).
 constexpr std::size_t kStreamBlockFields = 24;
 
-void encode_stream_stats(WireWriter& w, const service::StreamStats& s) {
-  w.str(s.stream);
+void encode_stream_stats(util::ByteWriter& w,
+                         const service::StreamStats& s) {
+  write_string(w, s.stream);
   w.u64(s.label_requests);
   w.u64(s.lookup_requests);
   w.u64(s.recommend_requests);
@@ -50,9 +42,9 @@ void encode_stream_stats(WireWriter& w, const service::StreamStats& s) {
   w.u64(s.store_shards);
 }
 
-[[nodiscard]] bool decode_stream_stats(WireReader& r,
+[[nodiscard]] bool decode_stream_stats(util::ByteReader& r,
                                        service::StreamStats* s) {
-  return r.str(&s->stream) && r.u64(&s->label_requests) &&
+  return read_string(r, &s->stream) && r.u64(&s->label_requests) &&
          r.u64(&s->lookup_requests) && r.u64(&s->recommend_requests) &&
          r.u64(&s->label_answered) && r.u64(&s->lookup_answered) &&
          r.u64(&s->recommend_answered) && r.u64(&s->label_shed) &&
@@ -69,156 +61,83 @@ void encode_stream_stats(WireWriter& w, const service::StreamStats& s) {
 
 }  // namespace
 
-// --- WireWriter -------------------------------------------------------------
+// --- wire-only encodings ---------------------------------------------------
 
-void WireWriter::u16(std::uint16_t v) { append_le(out_, v, 2); }
-void WireWriter::u32(std::uint32_t v) { append_le(out_, v, 4); }
-void WireWriter::u64(std::uint64_t v) { append_le(out_, v, 8); }
-
-void WireWriter::f32(float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  u32(bits);
+void write_string(util::ByteWriter& w, const std::string& s) {
+  w.u32(static_cast<std::uint32_t>(s.size()));
+  w.bytes(s);
 }
 
-void WireWriter::f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
+bool read_string(util::ByteReader& r, std::string* s, std::size_t max_len) {
+  std::uint32_t len = 0;
+  return r.u32(&len) && len <= max_len && r.bytes(len, s);
 }
 
-void WireWriter::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  out_.insert(out_.end(), s.begin(), s.end());
+void write_tensor(util::ByteWriter& w, const tensor::Tensor& t) {
+  w.u32(static_cast<std::uint32_t>(t.rank()));
+  for (const std::size_t d : t.shape()) w.u64(d);
+  w.f32s(t.flat());
 }
 
-void WireWriter::tensor(const tensor::Tensor& t) {
-  u32(static_cast<std::uint32_t>(t.rank()));
-  for (const std::size_t d : t.shape()) u64(d);
-  for (const float v : t.flat()) f32(v);
-}
-
-void WireWriter::pdf(const std::vector<double>& p) {
-  u32(static_cast<std::uint32_t>(p.size()));
-  for (const double v : p) f64(v);
-}
-
-// --- WireReader -------------------------------------------------------------
-
-bool WireReader::u8(std::uint8_t* v) {
-  if (remaining() < 1) return false;
-  *v = data_[cursor_++];
-  return true;
-}
-
-bool WireReader::u16(std::uint16_t* v) {
-  if (remaining() < 2) return false;
-  *v = static_cast<std::uint16_t>(data_[cursor_] |
-                                  (data_[cursor_ + 1] << 8));
-  cursor_ += 2;
-  return true;
-}
-
-bool WireReader::u32(std::uint32_t* v) {
-  if (remaining() < 4) return false;
-  std::uint32_t out = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    out |= static_cast<std::uint32_t>(data_[cursor_ + i]) << (8 * i);
-  }
-  cursor_ += 4;
-  *v = out;
-  return true;
-}
-
-bool WireReader::u64(std::uint64_t* v) {
-  if (remaining() < 8) return false;
-  std::uint64_t out = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    out |= static_cast<std::uint64_t>(data_[cursor_ + i]) << (8 * i);
-  }
-  cursor_ += 8;
-  *v = out;
-  return true;
-}
-
-bool WireReader::f32(float* v) {
-  std::uint32_t bits;
-  if (!u32(&bits)) return false;
-  std::memcpy(v, &bits, sizeof(*v));
-  return true;
-}
-
-bool WireReader::f64(double* v) {
-  std::uint64_t bits;
-  if (!u64(&bits)) return false;
-  std::memcpy(v, &bits, sizeof(*v));
-  return true;
-}
-
-bool WireReader::str(std::string* s, std::size_t max_len) {
-  std::uint32_t len;
-  if (!u32(&len)) return false;
-  if (len > max_len || len > remaining()) return false;
-  s->assign(reinterpret_cast<const char*>(data_.data() + cursor_), len);
-  cursor_ += len;
-  return true;
-}
-
-bool WireReader::tensor(tensor::Tensor* t) {
-  std::uint32_t rank;
-  if (!u32(&rank)) return false;
-  if (rank > kMaxTensorRank) return false;
+bool read_tensor(util::ByteReader& r, tensor::Tensor* t) {
+  std::uint32_t rank = 0;
+  if (!r.u32(&rank) || rank > kMaxTensorRank) return false;
   std::vector<std::size_t> shape(rank);
   std::size_t numel = 1;
-  for (std::uint32_t i = 0; i < rank; ++i) {
-    std::uint64_t d;
-    if (!u64(&d)) return false;
+  for (std::size_t& dim : shape) {
+    std::uint64_t d = 0;
+    if (!r.u64(&d)) return false;
     // Overflow-checked element count; a dim can never exceed what the
     // remaining payload could possibly back, so the product stays exact.
-    if (d != 0 && numel > remaining() / d) return false;
-    shape[i] = static_cast<std::size_t>(d);
-    numel *= shape[i];
+    if (d != 0 && numel > r.remaining() / d) return false;
+    dim = static_cast<std::size_t>(d);
+    numel *= dim;
   }
-  if (rank == 0) numel = 0;
-  if (remaining() < numel * sizeof(float)) return false;
+  if (rank == 0) {
+    *t = tensor::Tensor();
+    return true;
+  }
+  // Checked before the allocation, so a short payload costs nothing.
+  if (numel > r.remaining() / sizeof(float)) return false;
   std::vector<float> values(numel);
-  for (std::size_t i = 0; i < numel; ++i) {
-    (void)f32(&values[i]);  // bounds pre-checked above
-  }
-  *t = rank == 0 ? tensor::Tensor()
-                 : tensor::Tensor::from_vector(std::move(shape),
-                                               std::move(values));
+  if (!r.f32s(values)) return false;
+  *t = tensor::Tensor::from_vector(std::move(shape), std::move(values));
   return true;
 }
 
-bool WireReader::pdf(std::vector<double>* p, std::size_t max_len) {
-  std::uint32_t len;
-  if (!u32(&len)) return false;
-  if (len > max_len || remaining() < std::size_t{len} * 8) return false;
+void write_pdf(util::ByteWriter& w, const std::vector<double>& p) {
+  w.u32(static_cast<std::uint32_t>(p.size()));
+  w.f64s(p);
+}
+
+bool read_pdf(util::ByteReader& r, std::vector<double>* p,
+              std::size_t max_len) {
+  std::uint32_t len = 0;
+  if (!r.u32(&len) || len > max_len || len > r.remaining() / 8) return false;
   p->resize(len);
-  for (std::uint32_t i = 0; i < len; ++i) (void)f64(&(*p)[i]);
-  return true;
+  return r.f64s(*p);
 }
 
 // --- frames -----------------------------------------------------------------
 
 Bytes encode_frame(Op op, service::ServeStatus status,
                    std::uint64_t correlation_id, const Bytes& payload) {
-  WireWriter w;
+  Bytes out;
+  out.reserve(kHeaderSize + payload.size());
+  util::ByteWriter w(out);
   w.u32(kMagic);
   w.u16(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(op));
   w.u8(static_cast<std::uint8_t>(status));
   w.u64(correlation_id);
   w.u32(static_cast<std::uint32_t>(payload.size()));
-  Bytes out = w.take();
-  out.insert(out.end(), payload.begin(), payload.end());
+  w.bytes(payload);
   return out;
 }
 
 std::optional<FrameHeader> decode_header(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kHeaderSize) return std::nullopt;
-  WireReader r(bytes.subspan(0, kHeaderSize));
+  util::ByteReader r(bytes.first(kHeaderSize));
   std::uint32_t magic;
   FrameHeader h;
   std::uint8_t status;
@@ -237,48 +156,51 @@ std::optional<FrameHeader> decode_header(std::span<const std::uint8_t> bytes) {
 // --- DTO payload codecs -----------------------------------------------------
 
 Bytes encode_hello_ack(const HelloAck& ack) {
-  WireWriter w;
+  Bytes out;
+  util::ByteWriter w(out);
   w.u16(ack.version);
   w.u32(ack.max_payload);
-  return w.take();
+  return out;
 }
 
 bool decode_hello_ack(std::span<const std::uint8_t> payload, HelloAck* ack) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   return r.u16(&ack->version) && r.u32(&ack->max_payload) && r.done();
 }
 
 Bytes encode_label_request(const service::LabelRequest& req) {
-  WireWriter w;
-  w.tensor(req.xs);
+  Bytes out;
+  util::ByteWriter w(out);
+  write_tensor(w, req.xs);
   w.f64(req.threshold);
-  w.str(req.stream);
-  return w.take();
+  write_string(w, req.stream);
+  return out;
 }
 
 bool decode_label_request(std::span<const std::uint8_t> payload,
                           service::LabelRequest* req) {
-  WireReader r(payload);
-  return r.tensor(&req->xs) && r.f64(&req->threshold) &&
-         r.str(&req->stream) && r.done();
+  util::ByteReader r(payload);
+  return read_tensor(r, &req->xs) && r.f64(&req->threshold) &&
+         read_string(r, &req->stream) && r.done();
 }
 
 Bytes encode_label_response(const service::LabelResponse& resp) {
-  WireWriter w;
-  w.tensor(resp.batch.xs);
-  w.tensor(resp.batch.ys);
+  Bytes out;
+  util::ByteWriter w(out);
+  write_tensor(w, resp.batch.xs);
+  write_tensor(w, resp.batch.ys);
   w.u64(resp.reuse.reused);
   w.u64(resp.reuse.computed);
   w.u64(resp.snapshot_version);
   w.f64(resp.seconds);
-  return w.take();
+  return out;
 }
 
 bool decode_label_response(std::span<const std::uint8_t> payload,
                            service::LabelResponse* resp) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   std::uint64_t reused, computed;
-  if (!(r.tensor(&resp->batch.xs) && r.tensor(&resp->batch.ys) &&
+  if (!(read_tensor(r, &resp->batch.xs) && read_tensor(r, &resp->batch.ys) &&
         r.u64(&reused) && r.u64(&computed) && r.u64(&resp->snapshot_version) &&
         r.f64(&resp->seconds) && r.done())) {
     return false;
@@ -289,70 +211,74 @@ bool decode_label_response(std::span<const std::uint8_t> payload,
 }
 
 Bytes encode_lookup_request(const service::LookupRequest& req) {
-  WireWriter w;
-  w.tensor(req.xs);
+  Bytes out;
+  util::ByteWriter w(out);
+  write_tensor(w, req.xs);
   w.u64(req.seed);
-  w.str(req.stream);
-  return w.take();
+  write_string(w, req.stream);
+  return out;
 }
 
 bool decode_lookup_request(std::span<const std::uint8_t> payload,
                            service::LookupRequest* req) {
-  WireReader r(payload);
-  return r.tensor(&req->xs) && r.u64(&req->seed) && r.str(&req->stream) &&
+  util::ByteReader r(payload);
+  return read_tensor(r, &req->xs) && r.u64(&req->seed) && read_string(r, &req->stream) &&
          r.done();
 }
 
 Bytes encode_lookup_response(const service::LookupResponse& resp) {
-  WireWriter w;
-  w.tensor(resp.batch.xs);
-  w.tensor(resp.batch.ys);
+  Bytes out;
+  util::ByteWriter w(out);
+  write_tensor(w, resp.batch.xs);
+  write_tensor(w, resp.batch.ys);
   w.u64(resp.snapshot_version);
   w.f64(resp.seconds);
-  return w.take();
+  return out;
 }
 
 bool decode_lookup_response(std::span<const std::uint8_t> payload,
                             service::LookupResponse* resp) {
-  WireReader r(payload);
-  return r.tensor(&resp->batch.xs) && r.tensor(&resp->batch.ys) &&
+  util::ByteReader r(payload);
+  return read_tensor(r, &resp->batch.xs) && read_tensor(r, &resp->batch.ys) &&
          r.u64(&resp->snapshot_version) && r.f64(&resp->seconds) && r.done();
 }
 
 Bytes encode_recommend_request(const service::RecommendRequest& req) {
-  WireWriter w;
-  w.str(req.architecture);
-  w.tensor(req.xs);
-  w.str(req.stream);
-  return w.take();
+  Bytes out;
+  util::ByteWriter w(out);
+  write_string(w, req.architecture);
+  write_tensor(w, req.xs);
+  write_string(w, req.stream);
+  return out;
 }
 
 bool decode_recommend_request(std::span<const std::uint8_t> payload,
                               service::RecommendRequest* req) {
-  WireReader r(payload);
-  return r.str(&req->architecture) && r.tensor(&req->xs) &&
-         r.str(&req->stream) && r.done();
+  util::ByteReader r(payload);
+  return read_string(r, &req->architecture) && read_tensor(r, &req->xs) &&
+         read_string(r, &req->stream) && r.done();
 }
 
 Bytes encode_recommend_response(const service::RecommendResponse& resp) {
-  WireWriter w;
+  Bytes out;
+  util::ByteWriter w(out);
   w.u8(resp.pick.has_value() ? 1 : 0);
   w.u64(resp.pick ? resp.pick->model_id : 0);
   w.f64(resp.pick ? resp.pick->distance : 0.0);
-  w.pdf(resp.pdf);
+  write_pdf(w, resp.pdf);
   w.u64(resp.snapshot_version);
   w.f64(resp.seconds);
-  return w.take();
+  return out;
 }
 
 bool decode_recommend_response(std::span<const std::uint8_t> payload,
                                service::RecommendResponse* resp) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   std::uint8_t has_pick;
   std::uint64_t model_id;
   double distance;
   if (!(r.u8(&has_pick) && r.u64(&model_id) && r.f64(&distance) &&
-        r.pdf(&resp->pdf) && r.u64(&resp->snapshot_version) &&
+        read_pdf(r, &resp->pdf) && r.u64(&resp->snapshot_version) &&
         r.f64(&resp->seconds) && r.done())) {
     return false;
   }
@@ -366,7 +292,8 @@ bool decode_recommend_response(std::span<const std::uint8_t> payload,
 }
 
 Bytes encode_stats_response(const service::ServiceStats& s) {
-  WireWriter w;
+  Bytes out;
+  util::ByteWriter w(out);
   w.u64(s.queue_depth);
   w.u64(s.max_queue_depth);
   w.u64(s.max_pending);
@@ -379,12 +306,12 @@ Bytes encode_stats_response(const service::ServiceStats& s) {
   for (const service::StreamStats& stream : s.streams) {
     encode_stream_stats(w, stream);
   }
-  return w.take();
+  return out;
 }
 
 bool decode_stats_response(std::span<const std::uint8_t> payload,
                            service::ServiceStats* s) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   std::uint32_t n_streams;
   if (!(r.u64(&s->queue_depth) && r.u64(&s->max_queue_depth) &&
         r.u64(&s->max_pending) && r.u64(&s->unknown_stream_requests) &&
@@ -405,27 +332,29 @@ bool decode_stats_response(std::span<const std::uint8_t> payload,
 }
 
 Bytes encode_retrain_request(const service::RetrainRequest& req) {
-  WireWriter w;
-  w.tensor(req.xs);
-  w.str(req.stream);
-  return w.take();
+  Bytes out;
+  util::ByteWriter w(out);
+  write_tensor(w, req.xs);
+  write_string(w, req.stream);
+  return out;
 }
 
 bool decode_retrain_request(std::span<const std::uint8_t> payload,
                             service::RetrainRequest* req) {
-  WireReader r(payload);
-  return r.tensor(&req->xs) && r.str(&req->stream) && r.done();
+  util::ByteReader r(payload);
+  return read_tensor(r, &req->xs) && read_string(r, &req->stream) && r.done();
 }
 
 Bytes encode_retrain_response(bool accepted) {
-  WireWriter w;
+  Bytes out;
+  util::ByteWriter w(out);
   w.u8(accepted ? 1 : 0);
-  return w.take();
+  return out;
 }
 
 bool decode_retrain_response(std::span<const std::uint8_t> payload,
                              bool* accepted) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   std::uint8_t v;
   if (!r.u8(&v) || !r.done() || v > 1) return false;
   *accepted = v == 1;

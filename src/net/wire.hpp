@@ -13,11 +13,12 @@
 //       16     4  payload length in bytes (follows immediately)
 //
 // All integers are little-endian; floats travel as their IEEE-754 bit
-// pattern, so an encode/decode round trip is bit-exact. The payload is the
-// op-specific DTO encoding (the structs in src/service/dtos.hpp): requests
-// carry the inputs, responses carry the outputs plus serving metadata, and
-// the admission status rides in the frame header so a shed or drained
-// request needs no payload at all.
+// pattern, so an encode/decode round trip is bit-exact, and tensor and PDF
+// arrays travel as bulk little-endian arrays (util/bytes.hpp). The payload
+// is the op-specific DTO encoding (the structs in src/service/dtos.hpp):
+// requests carry the inputs, responses carry the outputs plus serving
+// metadata, and the admission status rides in the frame header so a shed
+// or drained request needs no payload at all.
 //
 // Decoding never trusts the peer: every read is bounds-checked against the
 // declared payload, tensor shapes are validated (rank/element caps,
@@ -34,6 +35,7 @@
 
 #include "service/dtos.hpp"
 #include "tensor/tensor.hpp"
+#include "util/bytes.hpp"
 
 namespace fairdms::net {
 
@@ -97,56 +99,25 @@ struct HelloAck {
   std::uint32_t max_payload = kDefaultMaxPayload;
 };
 
-// --- primitives -------------------------------------------------------------
+// --- wire-only encodings ---------------------------------------------------
+// The three composite fields the DTO payloads share, over the util byte
+// codec. Readers return false on truncation or an out-of-cap value.
 
-/// Append-only little-endian encoder.
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f32(float v);
-  void f64(double v);
-  void str(const std::string& s);          ///< u32 length + bytes
-  void tensor(const tensor::Tensor& t);    ///< u32 rank, u64 dims, f32 data
-  void pdf(const std::vector<double>& p);  ///< u32 count + f64s
+/// u32 length + bytes.
+void write_string(util::ByteWriter& w, const std::string& s);
+[[nodiscard]] bool read_string(util::ByteReader& r, std::string* s,
+                               std::size_t max_len = 1 << 16);
 
-  [[nodiscard]] Bytes take() { return std::move(out_); }
-  [[nodiscard]] const Bytes& bytes() const { return out_; }
+/// u32 rank, u64 dims, then the f32 elements as one little-endian array.
+/// The reader caps the rank and checks the element count against the
+/// bytes remaining before it allocates.
+void write_tensor(util::ByteWriter& w, const tensor::Tensor& t);
+[[nodiscard]] bool read_tensor(util::ByteReader& r, tensor::Tensor* t);
 
- private:
-  Bytes out_;
-};
-
-/// Cursor-based bounds-checked decoder. Every accessor returns false on
-/// truncation (and leaves the output untouched); decode helpers below
-/// additionally require the cursor to land exactly at the end, so trailing
-/// garbage is malformed too.
-class WireReader {
- public:
-  explicit WireReader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  [[nodiscard]] bool u8(std::uint8_t* v);
-  [[nodiscard]] bool u16(std::uint16_t* v);
-  [[nodiscard]] bool u32(std::uint32_t* v);
-  [[nodiscard]] bool u64(std::uint64_t* v);
-  [[nodiscard]] bool f32(float* v);
-  [[nodiscard]] bool f64(double* v);
-  [[nodiscard]] bool str(std::string* s, std::size_t max_len = 1 << 16);
-  [[nodiscard]] bool tensor(tensor::Tensor* t);
-  [[nodiscard]] bool pdf(std::vector<double>* p,
-                         std::size_t max_len = 1 << 16);
-
-  [[nodiscard]] bool done() const { return cursor_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const {
-    return data_.size() - cursor_;
-  }
-
- private:
-  std::span<const std::uint8_t> data_;
-  std::size_t cursor_ = 0;
-};
+/// u32 count + f64s.
+void write_pdf(util::ByteWriter& w, const std::vector<double>& p);
+[[nodiscard]] bool read_pdf(util::ByteReader& r, std::vector<double>* p,
+                            std::size_t max_len = 1 << 16);
 
 // --- frames -----------------------------------------------------------------
 

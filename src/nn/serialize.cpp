@@ -1,9 +1,10 @@
 #include "nn/serialize.hpp"
 
-#include <cstring>
-#include <fstream>
+#include <span>
 
+#include "util/bytes.hpp"
 #include "util/check.hpp"
+#include "util/fsio.hpp"
 
 namespace fairdms::nn {
 
@@ -12,37 +13,11 @@ namespace {
 constexpr std::uint32_t kMagic = 0x46444D53;  // "FDMS"
 constexpr std::uint32_t kVersion = 1;
 
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t read_u32(const std::vector<std::uint8_t>& in, std::size_t& pos) {
-  FAIRDMS_CHECK(pos + 4 <= in.size(), "model blob truncated (u32)");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{in[pos++]} << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64(const std::vector<std::uint8_t>& in, std::size_t& pos) {
-  FAIRDMS_CHECK(pos + 8 <= in.size(), "model blob truncated (u64)");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{in[pos++]} << (8 * i);
-  return v;
-}
-
 /// FNV-1a over a byte range — cheap corruption detection.
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
   std::uint64_t h = 0xCBF29CE484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
+  for (const std::uint8_t byte : bytes) {
+    h ^= byte;
     h *= 0x100000001B3ull;
   }
   return h;
@@ -53,74 +28,67 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
 std::vector<std::uint8_t> save_parameters(Sequential& model) {
   auto params = model.params();
   std::vector<std::uint8_t> out;
-  append_u32(out, kMagic);
-  append_u32(out, kVersion);
-  append_u64(out, params.size());
+  util::ByteWriter w(out);
+  w.u32(kMagic);
+  w.u32(kVersion);
+  w.u64(params.size());
   for (Tensor* p : params) {
-    append_u64(out, p->rank());
-    for (std::size_t a = 0; a < p->rank(); ++a) append_u64(out, p->dim(a));
-    const auto bytes = p->numel() * sizeof(float);
-    const std::size_t offset = out.size();
-    out.resize(offset + bytes);
-    // Empty tensors have a null data(), which memcpy must never see (UB).
-    if (bytes != 0) std::memcpy(out.data() + offset, p->data(), bytes);
+    w.u64(p->rank());
+    for (std::size_t a = 0; a < p->rank(); ++a) w.u64(p->dim(a));
+    w.f32s(p->flat());
   }
-  append_u64(out, fnv1a(out.data(), out.size()));
+  w.u64(fnv1a(out));
   return out;
 }
 
 void load_parameters(Sequential& model,
                      const std::vector<std::uint8_t>& blob) {
   FAIRDMS_CHECK(blob.size() >= 24, "model blob too small");
-  const std::size_t payload = blob.size() - 8;
-  std::size_t tail = payload;
-  const std::uint64_t stored_hash = read_u64(blob, tail);
-  FAIRDMS_CHECK(fnv1a(blob.data(), payload) == stored_hash,
-                "model blob checksum mismatch");
+  const std::span<const std::uint8_t> bytes(blob);
+  const std::span<const std::uint8_t> payload = bytes.first(bytes.size() - 8);
+  util::ByteReader tail(bytes.last(8));
+  std::uint64_t stored_hash = 0;
+  FAIRDMS_CHECK(tail.u64(&stored_hash), "model blob truncated (u64)");
+  FAIRDMS_CHECK(fnv1a(payload) == stored_hash, "model blob checksum mismatch");
 
-  std::size_t pos = 0;
-  FAIRDMS_CHECK(read_u32(blob, pos) == kMagic, "model blob: bad magic");
-  FAIRDMS_CHECK(read_u32(blob, pos) == kVersion, "model blob: bad version");
-  const std::uint64_t count = read_u64(blob, pos);
+  util::ByteReader r(payload);
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
+  std::uint64_t count = 0;
+  FAIRDMS_CHECK(r.u32(&magic), "model blob truncated (u32)");
+  FAIRDMS_CHECK(magic == kMagic, "model blob: bad magic");
+  FAIRDMS_CHECK(r.u32(&version), "model blob truncated (u32)");
+  FAIRDMS_CHECK(version == kVersion, "model blob: bad version");
+  FAIRDMS_CHECK(r.u64(&count), "model blob truncated (u64)");
   auto params = model.params();
   FAIRDMS_CHECK(params.size() == count, "model blob has ", count,
                 " tensors, model expects ", params.size());
   for (Tensor* p : params) {
-    const std::uint64_t rank = read_u64(blob, pos);
+    std::uint64_t rank = 0;
+    FAIRDMS_CHECK(r.u64(&rank), "model blob truncated (u64)");
     FAIRDMS_CHECK(rank == p->rank(), "model blob: rank mismatch");
-    std::size_t numel = 1;
     for (std::uint64_t a = 0; a < rank; ++a) {
-      const std::uint64_t d = read_u64(blob, pos);
+      std::uint64_t d = 0;
+      FAIRDMS_CHECK(r.u64(&d), "model blob truncated (u64)");
       FAIRDMS_CHECK(d == p->dim(static_cast<std::size_t>(a)),
                     "model blob: dim mismatch");
-      numel *= d;
     }
-    const auto bytes = numel * sizeof(float);
-    FAIRDMS_CHECK(pos + bytes <= payload, "model blob truncated (data)");
-    if (bytes != 0) std::memcpy(p->data(), blob.data() + pos, bytes);
-    pos += bytes;
+    FAIRDMS_CHECK(r.f32s(p->flat()), "model blob truncated (data)");
   }
-  FAIRDMS_CHECK(pos == payload, "model blob has trailing bytes");
+  FAIRDMS_CHECK(r.done(), "model blob has trailing bytes");
 }
 
 void save_parameters_file(Sequential& model, const std::string& path) {
-  const auto blob = save_parameters(model);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  FAIRDMS_CHECK(out.good(), "cannot open for write: ", path);
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  FAIRDMS_CHECK(out.good(), "write failed: ", path);
+  std::string error;
+  FAIRDMS_CHECK(util::write_file_atomic(path, save_parameters(model), &error),
+                "cannot write model file ", path, ": ", error);
 }
 
 void load_parameters_file(Sequential& model, const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  FAIRDMS_CHECK(in.good(), "cannot open for read: ", path);
-  const auto size = static_cast<std::size_t>(in.tellg());
-  in.seekg(0);
-  std::vector<std::uint8_t> blob(size);
-  in.read(reinterpret_cast<char*>(blob.data()),
-          static_cast<std::streamsize>(size));
-  FAIRDMS_CHECK(in.good(), "read failed: ", path);
+  std::vector<std::uint8_t> blob;
+  std::string error;
+  FAIRDMS_CHECK(util::read_file(path, blob, &error), "cannot read model file ",
+                path, ": ", error);
   load_parameters(model, blob);
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "util/bytes.hpp"
 #include "util/check.hpp"
 
 namespace fairdms::store {
@@ -12,17 +13,22 @@ constexpr std::uint32_t kRawMagic = 0x52415746;     // "RAWF"
 constexpr std::uint32_t kPickleMagic = 0x504B4C46;  // "PKLF"
 constexpr std::uint32_t kBloscMagic = 0x424C5346;   // "BLSF"
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+/// Every codec's header: u32 magic | u32 element count.
+void write_header(util::ByteWriter& w, std::uint32_t magic, std::size_t n) {
+  w.u32(magic);
+  w.u32(static_cast<std::uint32_t>(n));
 }
 
-std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t& pos) {
-  FAIRDMS_CHECK(pos + 4 <= in.size(), "codec: truncated u32");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{in[pos++]} << (8 * i);
-  return v;
+/// Reads the header, aborting on a short one or a foreign magic; returns
+/// the element count.
+std::uint32_t read_header(util::ByteReader& r, std::uint32_t magic,
+                          const char* codec) {
+  std::uint32_t got = 0;
+  std::uint32_t n = 0;
+  FAIRDMS_CHECK(r.u32(&got), "codec: truncated u32");
+  FAIRDMS_CHECK(got == magic, codec, " codec: bad magic");
+  FAIRDMS_CHECK(r.u32(&n), "codec: truncated u32");
+  return n;
 }
 
 // Pickle-style opcodes. The decoder is a small interpreter: every element
@@ -41,36 +47,28 @@ std::vector<std::uint8_t> RawCodec::encode(
     std::span<const float> values) const {
   std::vector<std::uint8_t> out;
   out.reserve(8 + values.size() * 4);
-  put_u32(out, kRawMagic);
-  put_u32(out, static_cast<std::uint32_t>(values.size()));
-  const std::size_t offset = out.size();
-  out.resize(offset + values.size() * 4);
-  if (!values.empty()) {
-    // Empty spans have a null data(), which memcpy must never see (UB).
-    std::memcpy(out.data() + offset, values.data(), values.size() * 4);
-  }
+  util::ByteWriter w(out);
+  write_header(w, kRawMagic, values.size());
+  w.f32s(values);
   return out;
 }
 
 void RawCodec::decode(std::span<const std::uint8_t> bytes,
                       std::vector<float>& out) const {
-  std::size_t pos = 0;
-  FAIRDMS_CHECK(get_u32(bytes, pos) == kRawMagic, "raw codec: bad magic");
-  const std::uint32_t n = get_u32(bytes, pos);
-  FAIRDMS_CHECK(pos + std::size_t{n} * 4 == bytes.size(),
+  util::ByteReader r(bytes);
+  const std::uint32_t n = read_header(r, kRawMagic, "raw");
+  FAIRDMS_CHECK(r.remaining() == std::size_t{n} * 4,
                 "raw codec: length mismatch");
   out.resize(n);
-  if (n != 0) {
-    std::memcpy(out.data(), bytes.data() + pos, std::size_t{n} * 4);
-  }
+  (void)r.f32s(out);  // length checked above
 }
 
 std::vector<std::uint8_t> PickleCodec::encode(
     std::span<const float> values) const {
   std::vector<std::uint8_t> out;
   out.reserve(8 + values.size() * 5);
-  put_u32(out, kPickleMagic);
-  put_u32(out, static_cast<std::uint32_t>(values.size()));
+  util::ByteWriter w(out);
+  write_header(w, kPickleMagic, values.size());
   std::size_t i = 0;
   while (i < values.size()) {
     const float v = values[i];
@@ -86,36 +84,32 @@ std::vector<std::uint8_t> PickleCodec::encode(
       ++run;
     }
     if (bits_v == 0) {  // +0.0f only; -0.0f keeps its bit pattern via kOpFloat
-      out.push_back(kOpZero);
+      w.u8(kOpZero);
     } else {
-      out.push_back(kOpFloat);
-      const std::size_t offset = out.size();
-      out.resize(offset + 4);
-      std::memcpy(out.data() + offset, &v, 4);
+      w.u8(kOpFloat);
+      w.f32(v);
     }
     if (run > 1) {
-      out.push_back(kOpRepeat);
-      out.push_back(static_cast<std::uint8_t>(run - 1));
+      w.u8(kOpRepeat);
+      w.u8(static_cast<std::uint8_t>(run - 1));
     }
     i += run;
   }
-  out.push_back(kOpStop);
+  w.u8(kOpStop);
   return out;
 }
 
 void PickleCodec::decode(std::span<const std::uint8_t> bytes,
                          std::vector<float>& out) const {
-  std::size_t pos = 0;
-  FAIRDMS_CHECK(get_u32(bytes, pos) == kPickleMagic,
-                "pickle codec: bad magic");
-  const std::uint32_t n = get_u32(bytes, pos);
+  util::ByteReader r(bytes);
+  const std::uint32_t n = read_header(r, kPickleMagic, "pickle");
   out.clear();
   out.reserve(n);
   float prev = 0.0f;
   // Interpreted opcode loop — intentionally per-element, like pickle.
   for (;;) {
-    FAIRDMS_CHECK(pos < bytes.size(), "pickle codec: truncated stream");
-    const std::uint8_t op = bytes[pos++];
+    std::uint8_t op = 0;
+    FAIRDMS_CHECK(r.u8(&op), "pickle codec: truncated stream");
     if (op == kOpStop) break;
     switch (op) {
       case kOpZero:
@@ -123,16 +117,14 @@ void PickleCodec::decode(std::span<const std::uint8_t> bytes,
         out.push_back(prev);
         break;
       case kOpFloat: {
-        FAIRDMS_CHECK(pos + 4 <= bytes.size(), "pickle codec: truncated float");
-        std::memcpy(&prev, bytes.data() + pos, 4);
-        pos += 4;
+        FAIRDMS_CHECK(r.f32(&prev), "pickle codec: truncated float");
         out.push_back(prev);
         break;
       }
       case kOpRepeat: {
-        FAIRDMS_CHECK(pos < bytes.size(), "pickle codec: truncated repeat");
-        const std::uint8_t count = bytes[pos++];
-        for (std::uint8_t r = 0; r < count; ++r) out.push_back(prev);
+        std::uint8_t count = 0;
+        FAIRDMS_CHECK(r.u8(&count), "pickle codec: truncated repeat");
+        for (std::uint8_t k = 0; k < count; ++k) out.push_back(prev);
         break;
       }
       default:
@@ -158,8 +150,8 @@ std::vector<std::uint8_t> BloscCodec::encode(
 
   std::vector<std::uint8_t> out;
   out.reserve(16 + n);
-  put_u32(out, kBloscMagic);
-  put_u32(out, static_cast<std::uint32_t>(n));
+  util::ByteWriter w(out);
+  write_header(w, kBloscMagic, n);
   // RLE over the shuffled stream: (count u8, byte) pairs for runs >= 4,
   // literal blocks otherwise.
   std::size_t i = 0;
@@ -170,9 +162,9 @@ std::vector<std::uint8_t> BloscCodec::encode(
       ++run;
     }
     if (run >= 4) {
-      out.push_back(0x00);  // run marker
-      out.push_back(static_cast<std::uint8_t>(run));
-      out.push_back(shuffled[i]);
+      w.u8(0x00);  // run marker
+      w.u8(static_cast<std::uint8_t>(run));
+      w.u8(shuffled[i]);
       i += run;
     } else {
       // Literal block: gather until the next run of >= 4 or 255 bytes.
@@ -189,11 +181,9 @@ std::vector<std::uint8_t> BloscCodec::encode(
         lit_end = scan;
       }
       if (lit_end == i) lit_end = i + 1;
-      out.push_back(0x01);  // literal marker
-      out.push_back(static_cast<std::uint8_t>(lit_end - i));
-      out.insert(out.end(),
-                 shuffled.begin() + static_cast<std::ptrdiff_t>(i),
-                 shuffled.begin() + static_cast<std::ptrdiff_t>(lit_end));
+      w.u8(0x01);  // literal marker
+      w.u8(static_cast<std::uint8_t>(lit_end - i));
+      w.bytes(std::span(shuffled).subspan(i, lit_end - i));
       i = lit_end;
     }
   }
@@ -202,25 +192,24 @@ std::vector<std::uint8_t> BloscCodec::encode(
 
 void BloscCodec::decode(std::span<const std::uint8_t> bytes,
                         std::vector<float>& out) const {
-  std::size_t pos = 0;
-  FAIRDMS_CHECK(get_u32(bytes, pos) == kBloscMagic, "blosc codec: bad magic");
-  const std::uint32_t n = get_u32(bytes, pos);
+  util::ByteReader r(bytes);
+  const std::uint32_t n = read_header(r, kBloscMagic, "blosc");
   std::vector<std::uint8_t> shuffled;
   shuffled.reserve(std::size_t{n} * 4);
-  while (pos < bytes.size()) {
-    const std::uint8_t marker = bytes[pos++];
-    FAIRDMS_CHECK(pos < bytes.size(), "blosc codec: truncated block header");
-    const std::uint8_t len = bytes[pos++];
+  while (!r.done()) {
+    std::uint8_t marker = 0;
+    std::uint8_t len = 0;
+    (void)r.u8(&marker);  // !done(), so at least one byte remains
+    FAIRDMS_CHECK(r.u8(&len), "blosc codec: truncated block header");
     if (marker == 0x00) {
-      FAIRDMS_CHECK(pos < bytes.size(), "blosc codec: truncated run");
-      shuffled.insert(shuffled.end(), len, bytes[pos++]);
+      std::uint8_t byte = 0;
+      FAIRDMS_CHECK(r.u8(&byte), "blosc codec: truncated run");
+      shuffled.insert(shuffled.end(), len, byte);
     } else {
       FAIRDMS_CHECK(marker == 0x01, "blosc codec: bad marker");
-      FAIRDMS_CHECK(pos + len <= bytes.size(),
-                    "blosc codec: truncated literal");
-      shuffled.insert(shuffled.end(), bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                      bytes.begin() + static_cast<std::ptrdiff_t>(pos + len));
-      pos += len;
+      std::span<const std::uint8_t> literal;
+      FAIRDMS_CHECK(r.bytes(len, &literal), "blosc codec: truncated literal");
+      shuffled.insert(shuffled.end(), literal.begin(), literal.end());
     }
   }
   FAIRDMS_CHECK(shuffled.size() == std::size_t{n} * 4,

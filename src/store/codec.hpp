@@ -13,7 +13,7 @@
 //  * BloscCodec byte-shuffles the float array (grouping all byte-0s, then
 //    byte-1s, ...) and run-length-encodes the shuffled stream; smooth images
 //    have near-constant high bytes, which RLE collapses.
-//  * RawCodec memcpys (the NFS/H5 direct-read path).
+//  * RawCodec copies the array as is (the NFS/H5 direct-read path).
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,8 @@ class Codec {
                       std::vector<float>& out) const = 0;
 };
 
-/// memcpy pass-through: header + raw IEEE754 bytes.
+/// Pass-through: header + the floats as one little-endian IEEE754 array
+/// (a memcpy on little-endian hosts).
 class RawCodec final : public Codec {
  public:
   [[nodiscard]] std::string name() const override { return "raw"; }

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "util/bytes.hpp"
 #include "util/check.hpp"
 
 namespace fairdms::store {
@@ -19,19 +20,6 @@ enum class Tag : std::uint8_t {
   kArray = 6,
   kObject = 7,
 };
-
-void put_u64(Binary& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint64_t get_u64(const Binary& in, std::size_t& pos) {
-  FAIRDMS_CHECK(pos + 8 <= in.size(), "document decode: truncated u64");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{in[pos++]} << (8 * i);
-  return v;
-}
 
 }  // namespace
 
@@ -137,42 +125,36 @@ int Value::compare(const Value& other) const {
 }
 
 void Value::encode(Binary& out) const {
+  util::ByteWriter w(out);
   if (is_null()) {
-    out.push_back(static_cast<std::uint8_t>(Tag::kNull));
+    w.u8(static_cast<std::uint8_t>(Tag::kNull));
   } else if (is_bool()) {
-    out.push_back(static_cast<std::uint8_t>(Tag::kBool));
-    out.push_back(as_bool() ? 1 : 0);
+    w.u8(static_cast<std::uint8_t>(Tag::kBool));
+    w.u8(as_bool() ? 1 : 0);
   } else if (is_int()) {
-    out.push_back(static_cast<std::uint8_t>(Tag::kInt));
-    put_u64(out, static_cast<std::uint64_t>(as_int()));
+    w.u8(static_cast<std::uint8_t>(Tag::kInt));
+    w.u64(static_cast<std::uint64_t>(as_int()));
   } else if (is_double()) {
-    out.push_back(static_cast<std::uint8_t>(Tag::kDouble));
-    std::uint64_t bits;
-    const double d = std::get<double>(data_);
-    std::memcpy(&bits, &d, 8);
-    put_u64(out, bits);
+    w.u8(static_cast<std::uint8_t>(Tag::kDouble));
+    w.f64(std::get<double>(data_));
   } else if (is_string()) {
-    out.push_back(static_cast<std::uint8_t>(Tag::kString));
-    const std::string& s = as_string();
-    put_u64(out, s.size());
-    out.insert(out.end(), s.begin(), s.end());
+    w.u8(static_cast<std::uint8_t>(Tag::kString));
+    w.u64(as_string().size());
+    w.bytes(as_string());
   } else if (is_binary()) {
-    out.push_back(static_cast<std::uint8_t>(Tag::kBinary));
-    const Binary& b = as_binary();
-    put_u64(out, b.size());
-    out.insert(out.end(), b.begin(), b.end());
+    w.u8(static_cast<std::uint8_t>(Tag::kBinary));
+    w.u64(as_binary().size());
+    w.bytes(as_binary());
   } else if (is_array()) {
-    out.push_back(static_cast<std::uint8_t>(Tag::kArray));
-    const Array& a = as_array();
-    put_u64(out, a.size());
-    for (const Value& v : a) v.encode(out);
+    w.u8(static_cast<std::uint8_t>(Tag::kArray));
+    w.u64(as_array().size());
+    for (const Value& v : as_array()) v.encode(out);
   } else {
-    out.push_back(static_cast<std::uint8_t>(Tag::kObject));
-    const Object& o = as_object();
-    put_u64(out, o.size());
-    for (const auto& [k, v] : o) {
-      put_u64(out, k.size());
-      out.insert(out.end(), k.begin(), k.end());
+    w.u8(static_cast<std::uint8_t>(Tag::kObject));
+    w.u64(as_object().size());
+    for (const auto& [k, v] : as_object()) {
+      w.u64(k.size());
+      w.bytes(k);
       v.encode(out);
     }
   }
@@ -198,77 +180,6 @@ std::size_t Value::encoded_size() const {
   return total;
 }
 
-Value Value::decode(const Binary& in, std::size_t& pos) {
-  FAIRDMS_CHECK(pos < in.size(), "document decode: truncated tag");
-  const auto tag = static_cast<Tag>(in[pos++]);
-  switch (tag) {
-    case Tag::kNull:
-      return Value(nullptr);
-    case Tag::kBool: {
-      FAIRDMS_CHECK(pos < in.size(), "document decode: truncated bool");
-      return Value(in[pos++] != 0);
-    }
-    case Tag::kInt:
-      return Value(static_cast<std::int64_t>(get_u64(in, pos)));
-    case Tag::kDouble: {
-      const std::uint64_t bits = get_u64(in, pos);
-      double d;
-      std::memcpy(&d, &bits, 8);
-      return Value(d);
-    }
-    case Tag::kString: {
-      const std::uint64_t n = get_u64(in, pos);
-      // `n <= size - pos` rather than `pos + n <= size`: a hostile 64-bit
-      // length must not wrap the addition and slip past the bounds check.
-      FAIRDMS_CHECK(n <= in.size() - pos, "document decode: truncated string");
-      std::string s(in.begin() + static_cast<std::ptrdiff_t>(pos),
-                    in.begin() + static_cast<std::ptrdiff_t>(pos + n));
-      pos += n;
-      return Value(std::move(s));
-    }
-    case Tag::kBinary: {
-      const std::uint64_t n = get_u64(in, pos);
-      FAIRDMS_CHECK(n <= in.size() - pos, "document decode: truncated binary");
-      Binary b(in.begin() + static_cast<std::ptrdiff_t>(pos),
-               in.begin() + static_cast<std::ptrdiff_t>(pos + n));
-      pos += n;
-      return Value(std::move(b));
-    }
-    case Tag::kArray: {
-      const std::uint64_t n = get_u64(in, pos);
-      Array a;
-      // Each element costs >= 1 input byte, so the remaining input bounds
-      // any honest count — don't let a hostile header force a huge alloc.
-      a.reserve(std::min<std::uint64_t>(n, in.size() - pos));
-      for (std::uint64_t i = 0; i < n; ++i) a.push_back(decode(in, pos));
-      return Value(std::move(a));
-    }
-    case Tag::kObject: {
-      const std::uint64_t n = get_u64(in, pos);
-      Object o;
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t klen = get_u64(in, pos);
-        FAIRDMS_CHECK(klen <= in.size() - pos,
-                      "document decode: truncated key");
-        std::string key(in.begin() + static_cast<std::ptrdiff_t>(pos),
-                        in.begin() + static_cast<std::ptrdiff_t>(pos + klen));
-        pos += klen;
-        o.emplace(std::move(key), decode(in, pos));
-      }
-      return Value(std::move(o));
-    }
-  }
-  FAIRDMS_CHECK(false, "document decode: unknown tag");
-  return Value(nullptr);
-}
-
-Value Value::decode(const Binary& in) {
-  std::size_t pos = 0;
-  Value v = decode(in, pos);
-  FAIRDMS_CHECK(pos == in.size(), "document decode: trailing bytes");
-  return v;
-}
-
 namespace {
 
 /// Nesting deeper than this is treated as corruption: honest documents are
@@ -276,74 +187,58 @@ namespace {
 /// headers must not recurse the stack into the ground.
 constexpr int kMaxDecodeDepth = 64;
 
-bool try_get_u64(const Binary& in, std::size_t& pos, std::uint64_t& v) {
-  if (in.size() - pos < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{in[pos++]} << (8 * i);
-  return true;
-}
-
-/// Failure-returning mirror of Value::decode. Every length is checked
-/// against the *remaining* input before use (overflow-proof form), so no
+/// Every length is checked against the *remaining* input before use, so no
 /// corrupt header can trigger an oversized allocation or an out-of-bounds
 /// read.
-bool try_decode_value(const Binary& in, std::size_t& pos, Value& out,
-                      int depth) {
+bool read_value(util::ByteReader& r, Value& out, int depth) {
   if (depth > kMaxDecodeDepth) return false;
-  if (pos >= in.size()) return false;
-  const auto tag = static_cast<Tag>(in[pos++]);
-  switch (tag) {
+  std::uint8_t tag = 0;
+  if (!r.u8(&tag)) return false;
+  switch (static_cast<Tag>(tag)) {
     case Tag::kNull:
       out = Value(nullptr);
       return true;
     case Tag::kBool: {
-      if (pos >= in.size()) return false;
-      out = Value(in[pos++] != 0);
+      std::uint8_t b = 0;
+      if (!r.u8(&b)) return false;
+      out = Value(b != 0);
       return true;
     }
     case Tag::kInt: {
       std::uint64_t v = 0;
-      if (!try_get_u64(in, pos, v)) return false;
+      if (!r.u64(&v)) return false;
       out = Value(static_cast<std::int64_t>(v));
       return true;
     }
     case Tag::kDouble: {
-      std::uint64_t bits = 0;
-      if (!try_get_u64(in, pos, bits)) return false;
-      double d;
-      std::memcpy(&d, &bits, 8);
+      double d = 0.0;
+      if (!r.f64(&d)) return false;
       out = Value(d);
       return true;
     }
     case Tag::kString: {
       std::uint64_t n = 0;
-      if (!try_get_u64(in, pos, n)) return false;
-      if (n > in.size() - pos) return false;
-      std::string s(in.begin() + static_cast<std::ptrdiff_t>(pos),
-                    in.begin() + static_cast<std::ptrdiff_t>(pos + n));
-      pos += n;
+      std::string s;
+      if (!r.u64(&n) || !r.bytes(n, &s)) return false;
       out = Value(std::move(s));
       return true;
     }
     case Tag::kBinary: {
       std::uint64_t n = 0;
-      if (!try_get_u64(in, pos, n)) return false;
-      if (n > in.size() - pos) return false;
-      Binary b(in.begin() + static_cast<std::ptrdiff_t>(pos),
-               in.begin() + static_cast<std::ptrdiff_t>(pos + n));
-      pos += n;
-      out = Value(std::move(b));
+      std::span<const std::uint8_t> b;
+      if (!r.u64(&n) || !r.bytes(n, &b)) return false;
+      out = Value(Binary(b.begin(), b.end()));
       return true;
     }
     case Tag::kArray: {
       std::uint64_t n = 0;
-      if (!try_get_u64(in, pos, n)) return false;
-      if (n > in.size() - pos) return false;  // each element is >= 1 byte
+      if (!r.u64(&n)) return false;
+      if (n > r.remaining()) return false;  // each element is >= 1 byte
       Array a;
       a.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) {
         Value v;
-        if (!try_decode_value(in, pos, v, depth + 1)) return false;
+        if (!read_value(r, v, depth + 1)) return false;
         a.push_back(std::move(v));
       }
       out = Value(std::move(a));
@@ -351,18 +246,17 @@ bool try_decode_value(const Binary& in, std::size_t& pos, Value& out,
     }
     case Tag::kObject: {
       std::uint64_t n = 0;
-      if (!try_get_u64(in, pos, n)) return false;
-      if (n > (in.size() - pos) / 9) return false;  // key len u64 + tag
+      if (!r.u64(&n)) return false;
+      if (n > r.remaining() / 9) return false;  // key len u64 + tag
       Object o;
       for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t klen = 0;
-        if (!try_get_u64(in, pos, klen)) return false;
-        if (klen > in.size() - pos) return false;
-        std::string key(in.begin() + static_cast<std::ptrdiff_t>(pos),
-                        in.begin() + static_cast<std::ptrdiff_t>(pos + klen));
-        pos += klen;
+        std::string key;
         Value v;
-        if (!try_decode_value(in, pos, v, depth + 1)) return false;
+        if (!r.u64(&klen) || !r.bytes(klen, &key) ||
+            !read_value(r, v, depth + 1)) {
+          return false;
+        }
         o.emplace(std::move(key), std::move(v));
       }
       out = Value(std::move(o));
@@ -374,11 +268,10 @@ bool try_decode_value(const Binary& in, std::size_t& pos, Value& out,
 
 }  // namespace
 
-std::optional<Value> Value::try_decode(const Binary& in) {
-  std::size_t pos = 0;
+std::optional<Value> Value::try_decode(std::span<const std::uint8_t> in) {
+  util::ByteReader r(in);
   Value v;
-  if (!try_decode_value(in, pos, v, 0)) return std::nullopt;
-  if (pos != in.size()) return std::nullopt;  // trailing bytes
+  if (!read_value(r, v, 0) || !r.done()) return std::nullopt;
   return v;
 }
 

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -91,13 +92,13 @@ class Value {
   /// account payload sizes on every read/write without re-serializing
   /// multi-kilobyte documents.
   [[nodiscard]] std::size_t encoded_size() const;
-  static Value decode(const Binary& in, std::size_t& pos);
-  static Value decode(const Binary& in);
-  /// Failure-returning decode for *untrusted* bytes (corrupt snapshots,
-  /// torn log records): nullopt instead of aborting on truncation, unknown
-  /// tags, trailing bytes, lengths exceeding the buffer, or nesting deeper
-  /// than a sanity limit. Never allocates more than the input size.
-  [[nodiscard]] static std::optional<Value> try_decode(const Binary& in);
+  /// The one decoder, for *untrusted* bytes (corrupt snapshots, torn log
+  /// records): nullopt on truncation, unknown tags, trailing bytes, lengths
+  /// exceeding the buffer, or nesting deeper than 64 levels. Every length
+  /// and count is checked against the bytes remaining before anything is
+  /// allocated.
+  [[nodiscard]] static std::optional<Value> try_decode(
+      std::span<const std::uint8_t> in);
 
   /// JSON text (binary rendered as "<N bytes>").
   [[nodiscard]] std::string to_json() const;

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <utility>
 
+#include "util/bytes.hpp"
 #include "util/check.hpp"
 #include "util/fsio.hpp"
 #include "util/logging.hpp"
@@ -20,7 +21,7 @@ namespace {
 
 constexpr std::uint32_t kSegmentMagic = 0x464C4F47;  // "FLOG"
 constexpr std::uint32_t kSegmentVersion = 1;
-constexpr std::size_t kHeaderBytes = 16;  // magic + version + shard salt
+constexpr std::size_t kHeaderBytes = 16;  // magic + version + 8 reserved
 // len(4) + kind(1) + id(8) + checksum(4)
 constexpr std::size_t kRecordOverhead = 17;
 constexpr std::size_t kPayloadOffsetInRecord = 13;
@@ -28,46 +29,39 @@ constexpr std::uint8_t kPut = 1;
 constexpr std::uint8_t kTombstone = 2;
 constexpr std::size_t kInitialMapCapacity = std::size_t{1} << 20;  // 1 MiB
 
-void put_le(std::uint8_t* out, std::uint64_t v, int n) {
-  for (int i = 0; i < n; ++i) {
-    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
-
-std::uint64_t read_le(const std::uint8_t* p, int n) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < n; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
-
-/// FNV-1a over kind + id bytes + payload: cheap, and torn tails are the
-/// threat model (a prefix of a valid record), not adversarial collisions.
-std::uint32_t record_checksum(std::uint8_t kind, DocId id,
-                              std::span<const std::uint8_t> payload) {
+/// FNV-1a over a record's contiguous kind, id and payload bytes: cheap,
+/// and torn tails are the threat model (a prefix of a valid record), not
+/// adversarial collisions.
+std::uint32_t record_checksum(std::span<const std::uint8_t> body) {
   std::uint32_t h = 2166136261u;
-  const auto mix = [&h](std::uint8_t byte) {
+  for (const std::uint8_t byte : body) {
     h ^= byte;
     h *= 16777619u;
-  };
-  mix(kind);
-  for (int i = 0; i < 8; ++i) {
-    mix(static_cast<std::uint8_t>(id >> (8 * i)));
   }
-  for (const std::uint8_t byte : payload) mix(byte);
   return h;
 }
 
-bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
+/// The segment header: magic, version, 8 reserved zero bytes.
+Binary segment_header() {
+  Binary out;
+  util::ByteWriter w(out);
+  w.u32(kSegmentMagic);
+  w.u32(kSegmentVersion);
+  w.u64(0);
+  return out;
+}
+
+/// Appends one framed record to `out`:
+/// len | kind | id | payload | checksum(kind, id, payload).
+void frame_record(Binary& out, std::uint8_t kind, DocId id,
+                  std::span<const std::uint8_t> payload) {
+  const std::size_t start = out.size();
+  util::ByteWriter w(out);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.u8(kind);
+  w.u64(id);
+  w.bytes(payload);
+  w.u32(record_checksum(std::span(out).subspan(start + 4)));
 }
 
 }  // namespace
@@ -127,11 +121,8 @@ void LogEngine::open_and_replay() {
       FAIRDMS_CHECK(::ftruncate(fd_, 0) == 0, "cannot truncate torn header of ",
                     path_);
     }
-    std::uint8_t header[kHeaderBytes] = {};
-    put_le(header, kSegmentMagic, 4);
-    put_le(header + 4, kSegmentVersion, 4);
-    put_le(header + 8, 0, 8);  // reserved
-    FAIRDMS_CHECK(write_all(fd_, header, kHeaderBytes),
+    const Binary header = segment_header();
+    FAIRDMS_CHECK(util::write_all(fd_, header.data(), header.size()),
                   "cannot initialize log segment ", path_);
     file_size_ = kHeaderBytes;
     ensure_mapped(file_size_);
@@ -139,9 +130,15 @@ void LogEngine::open_and_replay() {
   }
 
   ensure_mapped(file_size_);
-  FAIRDMS_CHECK(read_le(map_, 4) == kSegmentMagic, "bad magic in ", path_,
+  util::ByteReader r({map_, file_size_});
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
+  std::uint64_t reserved = 0;
+  const bool header_read =
+      r.u32(&magic) && r.u32(&version) && r.u64(&reserved);
+  FAIRDMS_CHECK(header_read && magic == kSegmentMagic, "bad magic in ", path_,
                 " (not a log segment)");
-  FAIRDMS_CHECK(read_le(map_ + 4, 4) == kSegmentVersion,
+  FAIRDMS_CHECK(version == kSegmentVersion,
                 "unsupported log segment version in ", path_);
 
   // Replay. Stop at the first incomplete or checksum-failing record: with
@@ -149,31 +146,31 @@ void LogEngine::open_and_replay() {
   // everything before it is intact by construction.
   std::size_t pos = kHeaderBytes;
   while (true) {
-    if (file_size_ - pos < kRecordOverhead) break;
-    const auto len =
-        static_cast<std::uint32_t>(read_le(map_ + pos, 4));
-    if (file_size_ - pos < kRecordOverhead + len) break;
-    const auto kind = static_cast<std::uint8_t>(map_[pos + 4]);
-    const DocId id = read_le(map_ + pos + 5, 8);
-    const std::span<const std::uint8_t> payload(
-        map_ + pos + kPayloadOffsetInRecord, len);
-    const auto stored_sum = static_cast<std::uint32_t>(
-        read_le(map_ + pos + kPayloadOffsetInRecord + len, 4));
-    if (stored_sum != record_checksum(kind, id, payload) ||
+    std::uint32_t len = 0;
+    std::uint8_t kind = 0;
+    DocId id = 0;
+    std::span<const std::uint8_t> payload;
+    std::uint32_t stored_sum = 0;
+    if (!(r.u32(&len) && r.u8(&kind) && r.u64(&id) &&
+          r.bytes(len, &payload) && r.u32(&stored_sum))) {
+      break;
+    }
+    const std::span<const std::uint8_t> body(map_ + pos + 4,
+                                             kPayloadOffsetInRecord - 4 + len);
+    if (stored_sum != record_checksum(body) ||
         (kind != kPut && kind != kTombstone)) {
       break;
     }
     auto it = entries_.find(id);
     if (kind == kPut) {
       if (it != entries_.end()) payload_bytes_ -= it->second.length;
-      entries_[id] =
-          Entry{pos + kPayloadOffsetInRecord, len};
+      entries_[id] = Entry{pos + kPayloadOffsetInRecord, len};
       payload_bytes_ += len;
     } else if (it != entries_.end()) {
       payload_bytes_ -= it->second.length;
       entries_.erase(it);
     }
-    pos += kRecordOverhead + len;
+    pos = r.position();
   }
 
   if (pos != file_size_) {
@@ -190,17 +187,10 @@ std::uint64_t LogEngine::append_record(std::uint8_t kind, DocId id,
                                        std::span<const std::uint8_t> payload) {
   FAIRDMS_CHECK(payload.size() <= UINT32_MAX, "log record payload too large (",
                 payload.size(), " bytes)");
-  Binary record(kRecordOverhead + payload.size());
-  put_le(record.data(), payload.size(), 4);
-  record[4] = kind;
-  put_le(record.data() + 5, id, 8);
-  if (!payload.empty()) {
-    std::memcpy(record.data() + kPayloadOffsetInRecord, payload.data(),
-                payload.size());
-  }
-  put_le(record.data() + kPayloadOffsetInRecord + payload.size(),
-         record_checksum(kind, id, payload), 4);
-  FAIRDMS_CHECK(write_all(fd_, record.data(), record.size()),
+  Binary record;
+  record.reserve(kRecordOverhead + payload.size());
+  frame_record(record, kind, id, payload);
+  FAIRDMS_CHECK(util::write_all(fd_, record.data(), record.size()),
                 "append failed for ", path_, ": ", std::strerror(errno));
   const std::uint64_t payload_offset = file_size_ + kPayloadOffsetInRecord;
   file_size_ += record.size();
@@ -212,8 +202,11 @@ std::uint64_t LogEngine::append_record(std::uint8_t kind, DocId id,
 }
 
 Value LogEngine::load_doc(const Entry& entry) const {
-  Binary buf(map_ + entry.offset, map_ + entry.offset + entry.length);
-  return Value::decode(buf);
+  std::optional<Value> doc =
+      Value::try_decode({map_ + entry.offset, entry.length});
+  FAIRDMS_CHECK(doc.has_value(), "document decode: corrupt document at offset ",
+                entry.offset, " of ", path_);
+  return std::move(*doc);
 }
 
 void LogEngine::insert(DocId id, Value doc, std::size_t bytes) {
@@ -339,25 +332,15 @@ void LogEngine::compact() {
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   FAIRDMS_CHECK(tfd >= 0, "cannot create ", tmp, ": ", std::strerror(errno));
 
-  std::uint8_t header[kHeaderBytes] = {};
-  put_le(header, kSegmentMagic, 4);
-  put_le(header + 4, kSegmentVersion, 4);
-  bool ok = write_all(tfd, header, kHeaderBytes);
+  Binary record = segment_header();
+  bool ok = util::write_all(tfd, record.data(), record.size());
   std::map<DocId, Entry> rewritten;
   std::size_t new_size = kHeaderBytes;
   for (const auto& [id, entry] : entries_) {
     if (!ok) break;
-    const std::span<const std::uint8_t> payload(map_ + entry.offset,
-                                                entry.length);
-    Binary record(kRecordOverhead + payload.size());
-    put_le(record.data(), payload.size(), 4);
-    record[4] = kPut;
-    put_le(record.data() + 5, id, 8);
-    std::memcpy(record.data() + kPayloadOffsetInRecord, payload.data(),
-                payload.size());
-    put_le(record.data() + kPayloadOffsetInRecord + payload.size(),
-           record_checksum(kPut, id, payload), 4);
-    ok = write_all(tfd, record.data(), record.size());
+    record.clear();
+    frame_record(record, kPut, id, {map_ + entry.offset, entry.length});
+    ok = util::write_all(tfd, record.data(), record.size());
     rewritten[id] = Entry{new_size + kPayloadOffsetInRecord, entry.length};
     new_size += record.size();
   }

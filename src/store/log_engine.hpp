@@ -14,11 +14,12 @@
 // first incomplete or checksum-failing record and truncates it away — the
 // engine recovers to the last complete record, losing at most the
 // in-flight tail. `compact()` rewrites only the live documents through a
-// tmp + fsync + rename rotation (the nfs.cpp `.meta` pattern), so a crash
+// tmp + fsync + rename rotation (the util/fsio.hpp pattern), so a crash
 // mid-compaction leaves either the old segment or the new one, never a
 // mix.
 //
-// Record layout (after a 16-byte segment header of magic/version/shard):
+// Record layout (after a 16-byte segment header: u32 magic, u32 version,
+// 8 reserved zero bytes), all integers little-endian (util/bytes.hpp):
 //   u32 payload_len | u8 kind (1=put, 2=tombstone) | u64 id
 //   | payload_len bytes (Value::encode of the document; empty for
 //     tombstones) | u32 checksum (FNV-1a over kind, id, payload)
@@ -95,6 +96,8 @@ class LogEngine final : public StorageEngine {
                               std::span<const std::uint8_t> payload);
   /// Ensures the read mapping covers at least `size` file bytes.
   void ensure_mapped(std::size_t size);
+  /// Decodes the entry's payload straight from the mapping (depth-capped
+  /// Value::try_decode); aborts if a checksummed record fails to decode.
   [[nodiscard]] Value load_doc(const Entry& entry) const;
   void close_files();
 

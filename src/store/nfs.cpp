@@ -3,7 +3,9 @@
 #include <filesystem>
 #include <fstream>
 
+#include "util/bytes.hpp"
 #include "util/check.hpp"
+#include "util/fsio.hpp"
 
 namespace fairdms::store {
 
@@ -17,25 +19,24 @@ std::size_t shape_elems(const std::vector<std::size_t>& shape) {
   return shape.empty() ? 0 : n;
 }
 
-void write_shape(std::ofstream& out, const std::vector<std::size_t>& shape) {
-  const std::uint64_t rank = shape.size();
-  out.write(reinterpret_cast<const char*>(&rank), 8);
-  for (std::size_t d : shape) {
-    const std::uint64_t v = d;
-    out.write(reinterpret_cast<const char*>(&v), 8);
-  }
+// `.meta` layout: u64 sample count, then the x and y shapes, each a u64
+// rank followed by that many u64 dims.
+void write_shape(util::ByteWriter& w, const std::vector<std::size_t>& shape) {
+  w.u64(shape.size());
+  for (const std::size_t d : shape) w.u64(d);
 }
 
-std::vector<std::size_t> read_shape(std::ifstream& in) {
+bool read_shape(util::ByteReader& r, std::vector<std::size_t>* shape) {
   std::uint64_t rank = 0;
-  in.read(reinterpret_cast<char*>(&rank), 8);
-  std::vector<std::size_t> shape(rank);
-  for (std::uint64_t i = 0; i < rank; ++i) {
+  // Bounded by the bytes present, so a corrupt rank cannot size the vector.
+  if (!r.u64(&rank) || rank > r.remaining() / 8) return false;
+  shape->resize(rank);
+  for (std::size_t& d : *shape) {
     std::uint64_t v = 0;
-    in.read(reinterpret_cast<char*>(&v), 8);
-    shape[i] = v;
+    if (!r.u64(&v)) return false;
+    d = v;
   }
-  return shape;
+  return true;
 }
 
 }  // namespace
@@ -66,21 +67,18 @@ void NfsStore::write_dataset(const std::string& name,
   const std::size_t y_elems = shape_elems(ys);
 
   {
-    // Write-then-rename so a concurrent read_meta (cache just invalidated
-    // above) never observes a truncated metadata file: POSIX rename swaps
-    // the directory entry atomically and in-flight readers keep the old
-    // inode.
-    const std::string meta_path = root_ + "/" + name + ".meta";
-    const std::string tmp_path = meta_path + ".tmp";
-    {
-      std::ofstream meta(tmp_path, std::ios::binary);
-      FAIRDMS_CHECK(meta.good(), "cannot write NFS metadata for ", name);
-      const std::uint64_t count = n;
-      meta.write(reinterpret_cast<const char*>(&count), 8);
-      write_shape(meta, xs);
-      write_shape(meta, ys);
-    }
-    fs::rename(tmp_path, meta_path);
+    // tmp + fsync + rename, so a concurrent read_meta (cache just
+    // invalidated above) never observes a truncated metadata file, and a
+    // crash leaves the old file or the new one.
+    std::vector<std::uint8_t> meta;
+    util::ByteWriter w(meta);
+    w.u64(n);
+    write_shape(w, xs);
+    write_shape(w, ys);
+    std::string error;
+    FAIRDMS_CHECK(
+        util::write_file_atomic(root_ + "/" + name + ".meta", meta, &error),
+        "cannot write NFS metadata for ", name, ": ", error);
   }
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -98,15 +96,16 @@ NfsStore::Meta NfsStore::read_meta(const std::string& name) const {
   util::MutexLock lock(meta_mutex_);
   auto it = meta_cache_.find(name);
   if (it != meta_cache_.end()) return it->second;
-  std::ifstream in(root_ + "/" + name + ".meta", std::ios::binary);
-  FAIRDMS_CHECK(in.good(), "missing NFS metadata for ", name);
+  std::vector<std::uint8_t> bytes;
+  FAIRDMS_CHECK(util::read_file(root_ + "/" + name + ".meta", bytes),
+                "missing NFS metadata for ", name);
+  util::ByteReader r(bytes);
   Meta meta;
   std::uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), 8);
+  FAIRDMS_CHECK(r.u64(&count) && read_shape(r, &meta.x_shape) &&
+                    read_shape(r, &meta.y_shape),
+                "corrupt NFS metadata for ", name);
   meta.count = count;
-  meta.x_shape = read_shape(in);
-  meta.y_shape = read_shape(in);
-  FAIRDMS_CHECK(in.good(), "corrupt NFS metadata for ", name);
   return meta_cache_.emplace(name, std::move(meta)).first->second;
 }
 

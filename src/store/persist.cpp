@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <unordered_set>
 
+#include "util/bytes.hpp"
 #include "util/fsio.hpp"
 
 namespace fairdms::store {
@@ -25,71 +25,21 @@ PersistResult fail(Args&&... args) {
   return PersistResult{oss.str()};
 }
 
-void put_u32(Binary& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-void put_u64(Binary& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-void put_string(Binary& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
+/// u64 length + bytes: the snapshot files' string encoding.
+void write_string(util::ByteWriter& w, const std::string& s) {
+  w.u64(s.size());
+  w.bytes(s);
 }
 
-/// Bounds-checked little-endian reader over an in-memory snapshot. Every
-/// read_* checks the *remaining* byte count (never `pos + n`, which a
-/// hostile 64-bit length could wrap), so no corrupt header can push the
-/// cursor out of bounds or size an allocation beyond the input.
-struct Cursor {
-  const Binary& in;
-  std::size_t pos = 0;
+bool read_string(util::ByteReader& r, std::string& s) {
+  std::uint64_t n = 0;
+  return r.u64(&n) && r.bytes(n, &s);
+}
 
-  [[nodiscard]] std::size_t remaining() const { return in.size() - pos; }
-
-  bool read_u32(std::uint32_t& v) {
-    if (remaining() < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{in[pos++]} << (8 * i);
-    return true;
-  }
-  bool read_u64(std::uint64_t& v) {
-    if (remaining() < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{in[pos++]} << (8 * i);
-    return true;
-  }
-  bool read_string(std::string& s) {
-    std::uint64_t n = 0;
-    if (!read_u64(n) || n > remaining()) return false;
-    s.assign(in.begin() + static_cast<std::ptrdiff_t>(pos),
-             in.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    pos += n;
-    return true;
-  }
-  bool read_bytes(std::uint64_t n, Binary& b) {
-    if (n > remaining()) return false;
-    b.assign(in.begin() + static_cast<std::ptrdiff_t>(pos),
-             in.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    pos += n;
-    return true;
-  }
-};
-
-PersistResult read_file(const std::string& path, Binary& out) {
-  std::error_code ec;
-  const std::uintmax_t size = fs::file_size(path, ec);
-  if (ec) return fail("cannot stat snapshot file ", path, ": ", ec.message());
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return fail("cannot read snapshot file ", path);
-  out.resize(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(out.size()));
-  if (in.gcount() != static_cast<std::streamsize>(out.size())) {
-    return fail("short read on snapshot file ", path);
+PersistResult read_snapshot_file(const std::string& path, Binary& out) {
+  std::string error;
+  if (!util::read_file(path, out, &error)) {
+    return fail("cannot read snapshot file: ", error);
   }
   return {};
 }
@@ -125,16 +75,17 @@ PersistResult save_collection(const Collection& col, const std::string& path) {
   const auto fields = col.index_fields();
 
   Binary out;
-  put_u32(out, kCollectionMagic);
-  put_u32(out, kVersion);
-  put_u64(out, next_id);
-  put_u64(out, fields.size());
-  for (const auto& field : fields) put_string(out, field);
-  put_u64(out, docs.size());
+  util::ByteWriter w(out);
+  w.u32(kCollectionMagic);
+  w.u32(kVersion);
+  w.u64(next_id);
+  w.u64(fields.size());
+  for (const auto& field : fields) write_string(w, field);
+  w.u64(docs.size());
   for (const auto& [id, buf] : docs) {
-    put_u64(out, id);
-    put_u64(out, buf.size());
-    out.insert(out.end(), buf.begin(), buf.end());
+    w.u64(id);
+    w.u64(buf.size());
+    w.bytes(buf);
   }
   std::string error;
   if (!util::write_file_atomic(path, out, &error)) {
@@ -145,22 +96,22 @@ PersistResult save_collection(const Collection& col, const std::string& path) {
 
 PersistResult load_collection(Collection& col, const std::string& path) {
   Binary bytes;
-  if (PersistResult r = read_file(path, bytes); !r.ok()) return r;
+  if (PersistResult r = read_snapshot_file(path, bytes); !r.ok()) return r;
 
   // Parse and validate the whole file before touching the collection, so a
   // corrupt snapshot leaves it exactly as it was.
-  Cursor cur{bytes};
+  util::ByteReader cur(bytes);
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
-  if (!cur.read_u32(magic) || magic != kCollectionMagic) {
+  if (!cur.u32(&magic) || magic != kCollectionMagic) {
     return fail("bad collection magic in ", path);
   }
-  if (!cur.read_u32(version) || version != kVersion) {
+  if (!cur.u32(&version) || version != kVersion) {
     return fail("bad snapshot version in ", path);
   }
   std::uint64_t next_id = 0;
   std::uint64_t n_fields = 0;
-  if (!cur.read_u64(next_id) || !cur.read_u64(n_fields)) {
+  if (!cur.u64(&next_id) || !cur.u64(&n_fields)) {
     return fail("truncated snapshot header in ", path);
   }
   if (n_fields > cur.remaining() / 8) {  // each field costs >= a u64 length
@@ -170,13 +121,13 @@ PersistResult load_collection(Collection& col, const std::string& path) {
   fields.reserve(n_fields);
   for (std::uint64_t i = 0; i < n_fields; ++i) {
     std::string field;
-    if (!cur.read_string(field)) {
+    if (!read_string(cur, field)) {
       return fail("truncated index field ", i, " in ", path);
     }
     fields.push_back(std::move(field));
   }
   std::uint64_t count = 0;
-  if (!cur.read_u64(count)) return fail("truncated snapshot ", path);
+  if (!cur.u64(&count)) return fail("truncated snapshot ", path);
   if (count > cur.remaining() / 16) {  // each doc costs >= id + length
     return fail("bad document count in ", path);
   }
@@ -187,8 +138,8 @@ PersistResult load_collection(Collection& col, const std::string& path) {
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t id = 0;
     std::uint64_t len = 0;
-    Binary buf;
-    if (!cur.read_u64(id) || !cur.read_u64(len) || !cur.read_bytes(len, buf)) {
+    std::span<const std::uint8_t> buf;
+    if (!cur.u64(&id) || !cur.u64(&len) || !cur.bytes(len, &buf)) {
       return fail("truncated snapshot ", path, " (document ", i, ")");
     }
     if (id >= next_id) {
@@ -238,10 +189,11 @@ PersistResult try_save_store(const DocStore& db,
     if (!r.ok()) return r;
   }
   Binary manifest;
-  put_u32(manifest, kManifestMagic);
-  put_u32(manifest, kVersion);
-  put_u64(manifest, names.size());
-  for (const auto& name : names) put_string(manifest, name);
+  util::ByteWriter w(manifest);
+  w.u32(kManifestMagic);
+  w.u32(kVersion);
+  w.u64(names.size());
+  for (const auto& name : names) write_string(w, name);
   std::string error;
   if (!util::write_file_atomic(directory + "/manifest.bin", manifest,
                                &error)) {
@@ -256,25 +208,25 @@ PersistResult try_snapshot_collections(const std::string& directory,
   const std::string path = directory + "/manifest.bin";
   if (!fs::exists(path)) return fail("no snapshot manifest in ", directory);
   Binary bytes;
-  if (PersistResult r = read_file(path, bytes); !r.ok()) return r;
-  Cursor cur{bytes};
+  if (PersistResult r = read_snapshot_file(path, bytes); !r.ok()) return r;
+  util::ByteReader cur(bytes);
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
-  if (!cur.read_u32(magic) || magic != kManifestMagic) {
+  if (!cur.u32(&magic) || magic != kManifestMagic) {
     return fail("bad manifest magic in ", directory);
   }
-  if (!cur.read_u32(version) || version != kVersion) {
+  if (!cur.u32(&version) || version != kVersion) {
     return fail("bad manifest version in ", directory);
   }
   std::uint64_t n = 0;
-  if (!cur.read_u64(n)) return fail("truncated manifest in ", directory);
+  if (!cur.u64(&n)) return fail("truncated manifest in ", directory);
   if (n > cur.remaining() / 8) {
     return fail("bad collection count in manifest in ", directory);
   }
   names.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     std::string name;
-    if (!cur.read_string(name)) {
+    if (!read_string(cur, name)) {
       return fail("truncated manifest entry ", i, " in ", directory);
     }
     if (!valid_collection_name(name)) {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "store/log_engine.hpp"
+#include "util/bytes.hpp"
 #include "util/check.hpp"
 #include "util/fsio.hpp"
 
@@ -12,25 +13,10 @@ namespace fairdms::store {
 
 namespace {
 
-// engine.meta: pins the shard count of a log-engine collection directory.
+// engine.meta (u32 magic | u32 version | u64 shard count): pins the shard
+// count of a log-engine collection directory.
 constexpr std::uint32_t kMetaMagic = 0x464D4554;  // "FMET"
 constexpr std::uint32_t kMetaVersion = 1;
-
-void put_u32(Binary& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-void put_u64(Binary& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-std::uint64_t read_le(const std::uint8_t* p, int n) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < n; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
 
 }  // namespace
 
@@ -248,26 +234,28 @@ std::vector<std::unique_ptr<StorageEngine>> make_shard_engines(
   if (std::filesystem::exists(meta_path)) {
     // Reopen: the shard count is part of the on-disk layout (ids were
     // routed to segments by `id % shards`), so it must match exactly.
-    Binary meta(16);  // magic u32 + version u32 + shard count u64
-    std::FILE* f = std::fopen(meta_path.c_str(), "rb");
-    FAIRDMS_CHECK(f != nullptr, "cannot read ", meta_path);
-    const std::size_t got = std::fread(meta.data(), 1, meta.size(), f);
-    std::fclose(f);
-    FAIRDMS_CHECK(got == meta.size(), "truncated ", meta_path);
-    FAIRDMS_CHECK(read_le(meta.data(), 4) == kMetaMagic, "bad magic in ",
-                  meta_path);
-    FAIRDMS_CHECK(read_le(meta.data() + 4, 4) == kMetaVersion,
-                  "bad version in ", meta_path);
-    const std::uint64_t disk_shards = read_le(meta.data() + 8, 8);
+    Binary meta;
+    std::string error;
+    FAIRDMS_CHECK(util::read_file(meta_path, meta, &error), "cannot read ",
+                  meta_path, ": ", error);
+    util::ByteReader r(meta);
+    std::uint32_t magic = 0;
+    std::uint32_t version = 0;
+    std::uint64_t disk_shards = 0;
+    FAIRDMS_CHECK(r.u32(&magic) && r.u32(&version) && r.u64(&disk_shards),
+                  "truncated ", meta_path);
+    FAIRDMS_CHECK(magic == kMetaMagic, "bad magic in ", meta_path);
+    FAIRDMS_CHECK(version == kMetaVersion, "bad version in ", meta_path);
     FAIRDMS_CHECK(disk_shards == shards, "log engine at ", config.directory,
                   " was written with ", disk_shards,
                   " shard(s); reopen requested ", shards,
                   " (resharding a log directory is not supported)");
   } else {
     Binary meta;
-    put_u32(meta, kMetaMagic);
-    put_u32(meta, kMetaVersion);
-    put_u64(meta, shards);
+    util::ByteWriter w(meta);
+    w.u32(kMetaMagic);
+    w.u32(kMetaVersion);
+    w.u64(shards);
     std::string error;
     FAIRDMS_CHECK(util::write_file_atomic(meta_path, meta, &error),
                   "cannot write ", meta_path, ": ", error);

@@ -1,6 +1,7 @@
 #include "util/fsio.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -18,6 +19,8 @@ void set_error(std::string* error, const std::string& what,
   *error = what + " " + path + ": " + std::strerror(errno);
 }
 
+}  // namespace
+
 bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   std::size_t done = 0;
   while (done < size) {
@@ -31,7 +34,33 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-}  // namespace
+bool read_file(const std::string& path, std::vector<std::uint8_t>& out,
+               std::string* error) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    set_error(error, "cannot open", path);
+    return false;
+  }
+  struct stat st{};
+  bool ok = ::fstat(fd, &st) == 0;
+  if (!ok) set_error(error, "cannot stat", path);
+  if (ok) out.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t done = 0;
+  while (ok && done < out.size()) {
+    const ssize_t n = ::read(fd, out.data() + done, out.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      set_error(error, "read failed for", path);
+      ok = false;
+    } else if (n == 0) {
+      if (error != nullptr) *error = "short read on " + path;
+      ok = false;
+    }
+    if (ok) done += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  return ok;
+}
 
 bool fsync_path(const std::string& path, std::string* error) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);

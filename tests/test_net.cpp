@@ -33,6 +33,7 @@
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "service/data_service.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace fairdms {
@@ -61,20 +62,20 @@ bool bit_equal(const Tensor& a, const Tensor& b) {
 
 TEST(WireCodec, PrimitiveRoundTripIsBitExact) {
   util::Rng rng(7);
-  net::WireWriter w;
+  net::Bytes bytes;
+  util::ByteWriter w(bytes);
   w.u8(0xab);
   w.u16(0xbeef);
   w.u32(0xdeadbeefu);
   w.u64(0x0123456789abcdefull);
   w.f32(-0.0f);
   w.f64(1e-308);  // subnormal-adjacent: survives only as a bit pattern
-  w.str("fairdms");
+  net::write_string(w, "fairdms");
   const Tensor t = random_tensor(rng, {2, 1, 3, 3});
-  w.tensor(t);
-  w.pdf({0.25, 0.5, 0.25});
-  const net::Bytes bytes = w.take();
+  net::write_tensor(w, t);
+  net::write_pdf(w, {0.25, 0.5, 0.25});
 
-  net::WireReader r(bytes);
+  util::ByteReader r(bytes);
   std::uint8_t v8;
   std::uint16_t v16;
   std::uint32_t v32;
@@ -90,9 +91,9 @@ TEST(WireCodec, PrimitiveRoundTripIsBitExact) {
   ASSERT_TRUE(r.u64(&v64));
   ASSERT_TRUE(r.f32(&vf));
   ASSERT_TRUE(r.f64(&vd));
-  ASSERT_TRUE(r.str(&s));
-  ASSERT_TRUE(r.tensor(&t2));
-  ASSERT_TRUE(r.pdf(&pdf));
+  ASSERT_TRUE(net::read_string(r, &s));
+  ASSERT_TRUE(net::read_tensor(r, &t2));
+  ASSERT_TRUE(net::read_pdf(r, &pdf));
   EXPECT_TRUE(r.done());
   EXPECT_EQ(v8, 0xab);
   EXPECT_EQ(v16, 0xbeef);
@@ -296,23 +297,26 @@ TEST(WireCodec, DecodersRejectTruncationAndTrailingGarbage) {
 TEST(WireCodec, TensorDecodeRejectsAbsurdShapes) {
   service::RetrainRequest out;
   {
-    net::WireWriter w;  // rank over the cap
+    net::Bytes bytes;  // rank over the cap
+    util::ByteWriter w(bytes);
     w.u32(9);
-    EXPECT_FALSE(net::decode_retrain_request(w.take(), &out));
+    EXPECT_FALSE(net::decode_retrain_request(bytes, &out));
   }
   {
-    net::WireWriter w;  // dims whose product overflows / exceeds the payload
+    net::Bytes bytes;  // dims whose product overflows / exceeds the payload
+    util::ByteWriter w(bytes);
     w.u32(2);
     w.u64(0xffffffffffffull);
     w.u64(0xffffffffffffull);
-    EXPECT_FALSE(net::decode_retrain_request(w.take(), &out));
+    EXPECT_FALSE(net::decode_retrain_request(bytes, &out));
   }
   {
-    net::WireWriter w;  // declared elements not backed by payload bytes
+    net::Bytes bytes;  // declared elements not backed by payload bytes
+    util::ByteWriter w(bytes);
     w.u32(1);
     w.u64(1000);
     w.f32(1.0f);
-    EXPECT_FALSE(net::decode_retrain_request(w.take(), &out));
+    EXPECT_FALSE(net::decode_retrain_request(bytes, &out));
   }
 }
 
@@ -328,10 +332,11 @@ TEST(WireCodec, RequestStreamFieldRoundTrips) {
   // The stream name is the payload's last field and is required: a body
   // that stops before it is malformed, never silently routed to the
   // default stream.
-  net::WireWriter stream_less;
-  stream_less.tensor(req.xs);
-  stream_less.f64(req.threshold);
-  EXPECT_FALSE(net::decode_label_request(stream_less.take(), &out));
+  net::Bytes stream_less;
+  util::ByteWriter w(stream_less);
+  net::write_tensor(w, req.xs);
+  w.f64(req.threshold);
+  EXPECT_FALSE(net::decode_label_request(stream_less, &out));
 
   service::LookupRequest lookup{random_tensor(rng, {2, 1, 15, 15}), 9,
                                 "tomo"};
@@ -575,14 +580,15 @@ TEST_F(NetFixture, MalformedFramesAreAnsweredOrClosedNeverFatal) {
      // the server never buffers a byte of it.
     net::Client client;
     ASSERT_TRUE(client.connect("127.0.0.1", port));
-    net::WireWriter w;
+    net::Bytes header;
+    util::ByteWriter w(header);
     w.u32(net::kMagic);
     w.u16(net::kProtocolVersion);
     w.u8(static_cast<std::uint8_t>(net::Op::kLabel));
     w.u8(0);
     w.u64(77);
     w.u32((1u << 20) + 1);
-    ASSERT_TRUE(client.send_raw(w.take()));
+    ASSERT_TRUE(client.send_raw(header));
     const auto reply = client.recv_reply();
     ASSERT_TRUE(reply.has_value());
     EXPECT_EQ(reply->header.status, service::ServeStatus::kMalformedRequest);
@@ -595,14 +601,15 @@ TEST_F(NetFixture, MalformedFramesAreAnsweredOrClosedNeverFatal) {
   {  // Wrong protocol version: error reply, then close.
     net::Client client;
     ASSERT_TRUE(client.connect("127.0.0.1", port));
-    net::WireWriter w;
+    net::Bytes header;
+    util::ByteWriter w(header);
     w.u32(net::kMagic);
     w.u16(net::kProtocolVersion + 1);
     w.u8(static_cast<std::uint8_t>(net::Op::kStats));
     w.u8(0);
     w.u64(78);
     w.u32(0);
-    ASSERT_TRUE(client.send_raw(w.take()));
+    ASSERT_TRUE(client.send_raw(header));
     const auto reply = client.recv_reply();
     ASSERT_TRUE(reply.has_value());
     EXPECT_EQ(reply->header.status, service::ServeStatus::kMalformedRequest);

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "store/codec.hpp"
 #include "store/docstore.hpp"
 #include "store/nfs.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace fairdms {
@@ -31,8 +34,9 @@ TEST(Document, ScalarRoundTrips) {
   for (const Value& v : values) {
     Binary buf;
     v.encode(buf);
-    const Value back = Value::decode(buf);
-    EXPECT_EQ(v.compare(back), 0) << v.to_json();
+    const std::optional<Value> back = Value::try_decode(buf);
+    ASSERT_TRUE(back.has_value()) << v.to_json();
+    EXPECT_EQ(v.compare(*back), 0) << v.to_json();
   }
 }
 
@@ -48,11 +52,12 @@ TEST(Document, NestedRoundTrip) {
 
   Binary buf;
   doc.encode(buf);
-  const Value back = Value::decode(buf);
-  EXPECT_EQ(doc.compare(back), 0);
-  EXPECT_EQ(back.at("name").as_string(), "bragg");
-  EXPECT_EQ(back.at("meta").at("flag").as_bool(), true);
-  EXPECT_DOUBLE_EQ(back.at("pdf").as_array()[1].as_double(), 0.75);
+  const std::optional<Value> back = Value::try_decode(buf);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(doc.compare(*back), 0);
+  EXPECT_EQ(back->at("name").as_string(), "bragg");
+  EXPECT_EQ(back->at("meta").at("flag").as_bool(), true);
+  EXPECT_DOUBLE_EQ(back->at("pdf").as_array()[1].as_double(), 0.75);
 }
 
 TEST(Document, OrderingIsTotalWithinType) {
@@ -299,6 +304,25 @@ TEST(NfsStore, WriteReadRoundTrip) {
     EXPECT_EQ(x[j], data.xs[3 * 16 + j]);
   }
   EXPECT_GT(nfs.link().requests(), 0u);
+}
+
+TEST(NfsStore, CorruptMetadataRankAbortsWithMessage) {
+  // A corrupt rank is bounded by the bytes actually present, so it ends in
+  // the store's own message, never in std::length_error or std::bad_alloc.
+  const std::string root = ::testing::TempDir() + "/fairdms_nfs_corrupt_meta";
+  std::filesystem::create_directories(root);
+  Binary meta;
+  util::ByteWriter w(meta);
+  w.u64(1);                       // sample count
+  w.u64(std::uint64_t{1} << 62);  // x rank, with no dims behind it
+  std::ofstream(root + "/bad.meta", std::ios::binary)
+      .write(reinterpret_cast<const char*>(meta.data()),
+             static_cast<std::streamsize>(meta.size()));
+  const store::NfsStore nfs(root, store::RemoteLinkConfig{
+                                      .latency_seconds = 0.0,
+                                      .bandwidth_bytes_per_s = 1e12});
+  EXPECT_DEATH((void)nfs.sample_count("bad"), "corrupt NFS metadata for bad");
+  std::filesystem::remove_all(root);
 }
 
 TEST(RemoteLink, AccountsRequestsAndBytes) {
