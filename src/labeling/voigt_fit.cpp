@@ -13,19 +13,47 @@ namespace {
 
 constexpr std::size_t kNumParams = 6;
 
-/// Model value and analytic-free (finite-difference) Jacobian row at (x, y).
-double model_value(const double* p, double x, double y) {
-  datagen::PeakParams pk;
-  pk.center_x = p[0];
-  pk.center_y = p[1];
-  pk.sigma_major = std::max(0.3, p[2]);
-  pk.sigma_minor = std::max(0.3, p[2]);  // isotropic footprint
-  pk.theta = 0.0;
-  pk.eta = std::clamp(p[3], 0.0, 1.0);
-  pk.amplitude = p[4];
-  pk.background = p[5];
-  return datagen::pseudo_voigt(pk, x, y);
-}
+/// The isotropic profile at one parameter vector, with sigma and eta clamped
+/// once here rather than once per pixel. radius2 and value together are
+/// datagen::pseudo_voigt with theta = 0, written with the same operations on
+/// the same operands, so every value matches it bit for bit.
+struct Profile {
+  double center_x = 0.0, center_y = 0.0, sigma = 0.0, eta = 0.0,
+         amplitude = 0.0, background = 0.0;
+
+  Profile() = default;
+  explicit Profile(const double* p)
+      : center_x(p[0]),
+        center_y(p[1]),
+        sigma(std::max(0.3, p[2])),
+        eta(std::clamp(p[3], 0.0, 1.0)),
+        amplitude(p[4]),
+        background(p[5]) {}
+
+  /// Squared footprint radius r² at (x, y). cos 0 and sin 0 stay operands so
+  /// that non-finite parameters propagate exactly as in pseudo_voigt.
+  [[nodiscard]] double radius2(double x, double y) const {
+    constexpr double ct = 1.0, st = 0.0;
+    const double dx = x - center_x;
+    const double dy = y - center_y;
+    const double u = (ct * dx + st * dy) / sigma;
+    const double v = (-st * dx + ct * dy) / sigma;
+    return u * u + v * v;
+  }
+
+  /// Value from the Lorentzian 1/(1+r²) and Gaussian exp(-r²/2) terms.
+  [[nodiscard]] double value(double lorentz, double gauss) const {
+    return background + amplitude * (eta * lorentz + (1.0 - eta) * gauss);
+  }
+};
+
+/// Per-pixel state at one parameter vector: the residual and the Lorentzian
+/// and Gaussian terms it was computed from.
+struct PixelTerms {
+  double* residual;
+  double* lorentz;
+  double* gauss;
+};
 
 }  // namespace
 
@@ -47,69 +75,100 @@ FitResult fit_peak(std::span<const float> patch, std::size_t size,
   p[4] = std::max(1e-3, static_cast<double>(hi - lo));  // amplitude
   p[5] = static_cast<double>(lo);                    // background
 
-  std::vector<double> residual(m);
-  std::vector<double> jacobian(m * kNumParams);
+  // Terms at p and at the trial step; an accepted step swaps the two.
+  std::vector<double> buffers(6 * m);
+  PixelTerms current{buffers.data(), buffers.data() + m,
+                     buffers.data() + 2 * m};
+  PixelTerms trial{buffers.data() + 3 * m, buffers.data() + 4 * m,
+                   buffers.data() + 5 * m};
   double lambda = config.initial_lambda;
 
-  auto compute_residual = [&](const double* params, std::vector<double>& r) {
+  auto compute_residual = [&](const double* params, const PixelTerms& t) {
+    const Profile q(params);
     double ss = 0.0;
     for (std::size_t y = 0; y < size; ++y) {
       for (std::size_t x = 0; x < size; ++x) {
         const std::size_t i = y * size + x;
-        r[i] = model_value(params, static_cast<double>(x),
-                           static_cast<double>(y)) -
-               static_cast<double>(patch[i]);
-        ss += r[i] * r[i];
+        const double r2 =
+            q.radius2(static_cast<double>(x), static_cast<double>(y));
+        t.gauss[i] = std::exp(-0.5 * r2);
+        t.lorentz[i] = 1.0 / (1.0 + r2);
+        t.residual[i] =
+            q.value(t.lorentz[i], t.gauss[i]) - static_cast<double>(patch[i]);
+        ss += t.residual[i] * t.residual[i];
       }
     }
     return ss / static_cast<double>(m);
   };
 
   FitResult result;
-  double current_ss = compute_residual(p, residual);
+  double current_ss = compute_residual(p, current);
+
+  // Undamped J^T J and J^T r at p. They depend only on p and its residual,
+  // so they are rebuilt only after an accepted step.
+  double jtj[kNumParams][kNumParams] = {};
+  double jtr[kNumParams] = {};
+  bool normal_equations_stale = true;
 
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    // Finite-difference Jacobian (like MIDAS's generic minimizer; this is
-    // what makes conventional labeling expensive: 6 extra model evaluations
-    // per pixel per iteration).
-    for (std::size_t k = 0; k < kNumParams; ++k) {
-      const double h = std::max(1e-6, 1e-4 * std::fabs(p[k]));
-      double pk[kNumParams];
-      std::copy(p, p + kNumParams, pk);
-      pk[k] += h;
+    if (normal_equations_stale) {
+      normal_equations_stale = false;
+      // Forward-difference Jacobian (like MIDAS's generic minimizer). A step
+      // in eta, amplitude or background leaves r² unchanged, so those columns
+      // reuse the kept Lorentzian/Gaussian terms; only the center and sigma
+      // columns evaluate the profile afresh, 3 exp per pixel per Jacobian.
+      // Each column value is the one datagen::pseudo_voigt gives at the
+      // shifted parameters, bit for bit, so the iterates are unchanged.
+      double h[kNumParams];
+      Profile shifted[kNumParams];
+      for (std::size_t k = 0; k < kNumParams; ++k) {
+        h[k] = std::max(1e-6, 1e-4 * std::fabs(p[k]));
+        double pk[kNumParams];
+        std::copy(p, p + kNumParams, pk);
+        pk[k] += h[k];
+        shifted[k] = Profile(pk);
+      }
+      std::fill_n(&jtj[0][0], kNumParams * kNumParams, 0.0);
+      std::fill_n(jtr, kNumParams, 0.0);
       for (std::size_t y = 0; y < size; ++y) {
         for (std::size_t x = 0; x < size; ++x) {
           const std::size_t i = y * size + x;
-          const double f1 = model_value(pk, static_cast<double>(x),
-                                        static_cast<double>(y));
-          const double f0 = residual[i] + static_cast<double>(patch[i]);
-          jacobian[i * kNumParams + k] = (f1 - f0) / h;
+          const double f0 =
+              current.residual[i] + static_cast<double>(patch[i]);
+          double jrow[kNumParams];
+          for (std::size_t k = 0; k < 3; ++k) {
+            const double r2 = shifted[k].radius2(static_cast<double>(x),
+                                                 static_cast<double>(y));
+            const double f1 =
+                shifted[k].value(1.0 / (1.0 + r2), std::exp(-0.5 * r2));
+            jrow[k] = (f1 - f0) / h[k];
+          }
+          for (std::size_t k = 3; k < kNumParams; ++k) {
+            const double f1 =
+                shifted[k].value(current.lorentz[i], current.gauss[i]);
+            jrow[k] = (f1 - f0) / h[k];
+          }
+          for (std::size_t a = 0; a < kNumParams; ++a) {
+            jtr[a] += jrow[a] * current.residual[i];
+            for (std::size_t b = a; b < kNumParams; ++b) {
+              jtj[a][b] += jrow[a] * jrow[b];
+            }
+          }
         }
       }
-    }
-
-    // Normal equations with LM damping: (J^T J + lambda I) dp = -J^T r
-    double jtj[kNumParams][kNumParams] = {};
-    double jtr[kNumParams] = {};
-    for (std::size_t i = 0; i < m; ++i) {
-      const double* jrow = jacobian.data() + i * kNumParams;
       for (std::size_t a = 0; a < kNumParams; ++a) {
-        jtr[a] += jrow[a] * residual[i];
-        for (std::size_t b = a; b < kNumParams; ++b) {
-          jtj[a][b] += jrow[a] * jrow[b];
-        }
+        for (std::size_t b = 0; b < a; ++b) jtj[a][b] = jtj[b][a];
       }
     }
-    for (std::size_t a = 0; a < kNumParams; ++a) {
-      for (std::size_t b = 0; b < a; ++b) jtj[a][b] = jtj[b][a];
-      jtj[a][a] *= 1.0 + lambda;
-    }
 
-    // Gaussian elimination with partial pivoting.
+    // Normal equations with LM damping,
+    // (J^T J + lambda diag(J^T J)) dp = -J^T r, solved by Gaussian
+    // elimination with partial pivoting.
     double aug[kNumParams][kNumParams + 1];
     for (std::size_t a = 0; a < kNumParams; ++a) {
       for (std::size_t b = 0; b < kNumParams; ++b) aug[a][b] = jtj[a][b];
+      aug[a][a] *= 1.0 + lambda;
       aug[a][kNumParams] = -jtr[a];
     }
     bool singular = false;
@@ -145,12 +204,12 @@ FitResult fit_peak(std::span<const float> patch, std::size_t size,
 
     double p_try[kNumParams];
     for (std::size_t a = 0; a < kNumParams; ++a) p_try[a] = p[a] + dp[a];
-    std::vector<double> r_try(m);
-    const double try_ss = compute_residual(p_try, r_try);
+    const double try_ss = compute_residual(p_try, trial);
 
     if (try_ss < current_ss) {
       std::copy(p_try, p_try + kNumParams, p);
-      residual.swap(r_try);
+      std::swap(current, trial);
+      normal_equations_stale = true;
       current_ss = try_ss;
       lambda = std::max(1e-9, lambda * 0.3);
       if (std::sqrt(step_norm) < config.tolerance) {
@@ -174,7 +233,7 @@ FitResult fit_peak(std::span<const float> patch, std::size_t size,
 }
 
 nn::Tensor label_patches(const nn::Tensor& xs, const FitConfig& config,
-                         double* elapsed_seconds, double* per_patch_seconds) {
+                         double* elapsed_seconds) {
   FAIRDMS_CHECK(xs.rank() == 4 && xs.dim(1) == 1,
                 "label_patches expects [N, 1, S, S], got ", xs.shape_str());
   const std::size_t n = xs.dim(0);
@@ -199,14 +258,7 @@ nn::Tensor label_patches(const nn::Tensor& xs, const FitConfig& config,
         }
       },
       /*min_grain=*/1);
-  const double elapsed = timer.seconds();
-  if (elapsed_seconds != nullptr) *elapsed_seconds = elapsed;
-  if (per_patch_seconds != nullptr) {
-    // Mean per-patch compute cost: wall time x threads / patches.
-    *per_patch_seconds =
-        elapsed * static_cast<double>(util::ThreadPool::global().size()) /
-        static_cast<double>(std::max<std::size_t>(1, n));
-  }
+  if (elapsed_seconds != nullptr) *elapsed_seconds = timer.seconds();
   return labels;
 }
 

@@ -7,6 +7,13 @@
 // (center_x, center_y, sigma, eta, amplitude, background) with an isotropic
 // footprint (the label of interest is only the center of mass; widths are
 // nuisance parameters, matching how MIDAS reports peak positions).
+//
+// Its forward-difference Jacobian costs three exp per pixel: only the
+// center and sigma columns move the footprint, and the other three reuse
+// the Lorentzian/Gaussian terms kept from the residual pass. A Jacobian is
+// built only after an accepted step. The iterates, and so the labels, are
+// bit-identical to evaluating datagen::pseudo_voigt afresh for every column
+// of every iteration.
 #pragma once
 
 #include <span>
@@ -43,10 +50,9 @@ FitResult fit_peak(std::span<const float> patch, std::size_t size,
 /// Labels every row of xs ([N, 1, S, S]) in parallel on the global thread
 /// pool; returns [N, 2] labels in the same normalized units as
 /// datagen::make_bragg_batchset. `elapsed_seconds` (optional) receives wall
-/// time; `per_patch_seconds` receives the mean single-patch cost.
+/// time.
 nn::Tensor label_patches(const nn::Tensor& xs, const FitConfig& config = {},
-                         double* elapsed_seconds = nullptr,
-                         double* per_patch_seconds = nullptr);
+                         double* elapsed_seconds = nullptr);
 
 /// Projects conventional-labeling wall time onto a machine with `cores`
 /// cores (the paper's Voigt-80 workstation and Voigt-1440 cluster), given

@@ -14,9 +14,12 @@ For every workload and seed it runs one pair of
 
 once in each tree (each builds into its own .bench_build/), where T is the
 run_seconds of BENCHMARK.json, the parent first on odd seeds and the change
-first on even ones, and appends both results to BENCH_<topic>_ab.json
-(schema: what, host, claim, runs[]) after every run, so an interrupted
-A/B keeps what it measured. An existing file is extended.
+first on even ones. After a workload's pairs it runs the same command with
+--trace 1 once per side on the first seed. It appends every result, with
+its exit code, to BENCH_<topic>_ab.json (schema: what, host, claim,
+runs[]) after every run, so an interrupted A/B keeps what it measured. An
+existing file is extended. A traced run is stored with `traced: true`, its
+per-layer metrics and its `stages` line.
 
 It then prints, per side, the failed share of operations and the number of
 runs that failed their own checks. Those runs feed no median and win no
@@ -28,6 +31,11 @@ every change run reads better than every parent run. It is flagged `gain`
 when the change wins at least 9 pairs in 10, its median beats the parent's
 by more than the parent's quartile distance, and neither its failed share
 nor its count of failed runs is higher than the parent's.
+
+Traced runs feed no median, win no pair and count in neither failed tally.
+For each seed that has them, it prints their exit codes and checks,
+`TRACED RUN FAILED (exit N)` for a nonzero exit, and the two sides'
+per-layer metrics and stages next to each other.
 """
 import argparse
 import json
@@ -65,20 +73,31 @@ def host_class():
     return f"{os.cpu_count()} vCPU {model}"
 
 
-def run_once(tree, workload, seed, seconds, metric_names):
+def parse_json(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
+
+
+def run_once(tree, workload, seed, seconds, metric_names, traced=False):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "1" if traced else "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
-    try:
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-    except (IndexError, ValueError):
-        result = {}
+    lines = proc.stdout.strip().splitlines()
+    result = (parse_json(lines[-1]) if lines else None) or {}
     run = {"workload": workload, "seed": seed,
            "correct": proc.returncode == 0 and result.get("correct") is True,
            "attempted": result.get("attempted", 0),
-           "failed": result.get("failed", 0)}
+           "failed": result.get("failed", 0),
+           "exit_code": proc.returncode}
+    if traced:
+        run["traced"] = True
+        run["stages"] = next((parse_json(line[len("stages "):])
+                              for line in lines
+                              if line.startswith("stages ")), None)
     metrics = result.get("metrics", {})
     for name in metric_names:
         run[name] = metrics.get(name, {}).get("value")
@@ -91,61 +110,103 @@ def quartiles(values):
 
 
 def summarize(runs, spec, workloads, seeds):
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     for workload in workloads:
         chosen = [r for r in runs
                   if r["workload"] == workload and r["seed"] in seeds]
-        pairs = {}
-        for r in chosen:
-            pairs.setdefault(r["seed"], {})[r["side"]] = r
-        pairs = [p for p in pairs.values() if len(p) == 2]
-        print(f"\n{workload}: {len(pairs)} pairs, seeds "
-              f"{min(seeds)}-{max(seeds)}")
-        share, bad, good = {}, {}, {}
-        for side in SIDES:
-            side_runs = [r for r in chosen if r["side"] == side]
-            attempted = sum(r["attempted"] for r in side_runs)
-            failed = sum(r["failed"] for r in side_runs)
-            share[side] = failed / attempted if attempted else 0.0
-            bad[side] = sum(not r["correct"] for r in side_runs)
-            good[side] = [r for r in side_runs if r["correct"]]
-            print(f"  {side:6s} runs {len(side_runs)}, failed checks "
-                  f"{bad[side]}, failed share {share[side]:.4g}")
-        no_worse = (share["change"] <= share["parent"]
-                    and bad["change"] <= bad["parent"])
-        if len(pairs) < 2:
+        summarize_pairs([r for r in chosen if not r.get("traced")], spec,
+                        workload, seeds)
+        summarize_traced([r for r in chosen if r.get("traced")], spec)
+
+
+def summarize_pairs(chosen, spec, workload, seeds):
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    pairs = {}
+    for r in chosen:
+        pairs.setdefault(r["seed"], {})[r["side"]] = r
+    pairs = [p for p in pairs.values() if len(p) == 2]
+    print(f"\n{workload}: {len(pairs)} pairs, seeds "
+          f"{min(seeds)}-{max(seeds)}")
+    share, bad, good = {}, {}, {}
+    for side in SIDES:
+        side_runs = [r for r in chosen if r["side"] == side]
+        attempted = sum(r["attempted"] for r in side_runs)
+        failed = sum(r["failed"] for r in side_runs)
+        share[side] = failed / attempted if attempted else 0.0
+        bad[side] = sum(not r["correct"] for r in side_runs)
+        good[side] = [r for r in side_runs if r["correct"]]
+        print(f"  {side:6s} runs {len(side_runs)}, failed checks "
+              f"{bad[side]}, failed share {share[side]:.4g}")
+    no_worse = (share["change"] <= share["parent"]
+                and bad["change"] <= bad["parent"])
+    if len(pairs) < 2:
+        return
+    print(f"  {'metric':20s} {'parent':>10s} {'change':>10s} {'rel':>7s} "
+          f"{'spread p/c':>11s} {'wins':>6s}  verdict")
+    for name in better:
+        values = {side: [r[name] for r in good[side]
+                         if r.get(name) is not None] for side in SIDES}
+        if min(len(v) for v in values.values()) < 2:
             continue
-        print(f"  {'metric':20s} {'parent':>10s} {'change':>10s} {'rel':>7s} "
-              f"{'spread p/c':>11s} {'wins':>6s}  verdict")
-        for name in better:
-            values = {side: [r[name] for r in good[side]
-                             if r.get(name) is not None] for side in SIDES}
-            if min(len(v) for v in values.values()) < 2:
+        q = {side: quartiles(values[side]) for side in SIDES}
+        med = {side: q[side][1] for side in SIDES}
+        spread = {side: (q[side][2] - q[side][0]) / med[side]
+                  for side in SIDES}
+        sign = 1.0 if better[name] == "lower" else -1.0
+        wins = sum(1 for p in pairs
+                   if all(p[side]["correct"]
+                          and p[side].get(name) is not None
+                          for side in SIDES)
+                   and sign * (p["change"][name] - p["parent"][name]) < 0)
+        all_better = (max(sign * v for v in values["change"])
+                      < min(sign * v for v in values["parent"]))
+        gain = sign * (med["parent"] - med["change"])
+        verdicts = []
+        if max(spread.values()) > bound[name] and not all_better:
+            verdicts.append("unresolved")
+        if (no_worse and wins >= 0.9 * len(pairs)
+                and gain > q["parent"][2] - q["parent"][0]):
+            verdicts.append("gain")
+        print(f"  {name:20s} {med['parent']:10.4g} {med['change']:10.4g} "
+              f"{(med['change'] - med['parent']) / med['parent']:+7.1%} "
+              f"{spread['parent']:5.2f}/{spread['change']:<5.2f} "
+              f"{wins:3d}/{len(pairs):<2d}  {' '.join(verdicts)}")
+
+
+def cell(value):
+    if value is None:
+        return f"{'-':>10s}"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return f"{value:10.4g}"
+    return f"{value!s:>10s}"
+
+
+def summarize_traced(traced, spec):
+    names = [m["name"] for m in spec["per_layer"]]
+    for seed in sorted({r["seed"] for r in traced}):
+        # The last traced run of each side on this seed.
+        runs = {r["side"]: r for r in traced if r["seed"] == seed}
+        print(f"  traced runs, seed {seed}:")
+        for side in SIDES:
+            r = runs.get(side)
+            if r is None:
                 continue
-            q = {side: quartiles(values[side]) for side in SIDES}
-            med = {side: q[side][1] for side in SIDES}
-            spread = {side: (q[side][2] - q[side][0]) / med[side]
-                      for side in SIDES}
-            sign = 1.0 if better[name] == "lower" else -1.0
-            wins = sum(1 for p in pairs
-                       if all(p[side]["correct"]
-                              and p[side].get(name) is not None
-                              for side in SIDES)
-                       and sign * (p["change"][name] - p["parent"][name]) < 0)
-            all_better = (max(sign * v for v in values["change"])
-                          < min(sign * v for v in values["parent"]))
-            gain = sign * (med["parent"] - med["change"])
-            verdicts = []
-            if max(spread.values()) > bound[name] and not all_better:
-                verdicts.append("unresolved")
-            if (no_worse and wins >= 0.9 * len(pairs)
-                    and gain > q["parent"][2] - q["parent"][0]):
-                verdicts.append("gain")
-            print(f"  {name:20s} {med['parent']:10.4g} {med['change']:10.4g} "
-                  f"{(med['change'] - med['parent']) / med['parent']:+7.1%} "
-                  f"{spread['parent']:5.2f}/{spread['change']:<5.2f} "
-                  f"{wins:3d}/{len(pairs):<2d}  {' '.join(verdicts)}")
+            print(f"    {side:6s} exit {r['exit_code']}, correct "
+                  f"{r['correct']}, failed {r['failed']}")
+            if r["exit_code"] != 0:
+                print(f"    TRACED RUN FAILED (exit {r['exit_code']})")
+        stages = {side: r.get("stages") or {} for side, r in runs.items()}
+        rows = [(name, {side: r.get(name) for side, r in runs.items()})
+                for name in names]
+        rows += [(f"stages.{key}",
+                  {side: st.get(key) for side, st in stages.items()})
+                 for key in dict.fromkeys(k for st in stages.values()
+                                          for k in st)]
+        print(f"    {'per-layer metric':28s} {'parent':>10s} {'change':>10s}")
+        for name, values in rows:
+            if any(v is not None for v in values.values()):
+                print(f"    {name:28s} "
+                      + " ".join(cell(values.get(side)) for side in SIDES))
 
 
 def main():
@@ -188,22 +249,34 @@ def main():
     else:
         doc = {"what": args.what, "host": args.host, "claim": args.claim,
                "runs": []}
-    metric_names = [m["name"] for m in spec["end_to_end"]]
+    end_to_end = [m["name"] for m in spec["end_to_end"]]
+    per_layer = [m["name"] for m in spec["per_layer"]]
     trees = {"parent": args.parent, "change": args.change}
+
+    def run_pair(workload, seed, traced):
+        names = per_layer if traced else end_to_end
+        order = SIDES if seed % 2 == 1 else tuple(reversed(SIDES))
+        for side in order:
+            run = run_once(trees[side], workload, seed, spec["run_seconds"],
+                           names, traced)
+            doc["runs"].append({**run, "side": side})
+            with open(out, "w") as f:
+                json.dump(doc, f, indent=1)
+                f.write("\n")
+            if traced and run["exit_code"] != 0:
+                status = f" TRACED RUN FAILED (exit {run['exit_code']})"
+            else:
+                status = "" if run["correct"] else " FAILED CHECKS"
+            log(f"{workload} seed {seed} {side}"
+                + (" traced" if traced else "") + ": "
+                + ", ".join(f"{n}={run[n]:.4g}" for n in names
+                            if run[n] is not None)
+                + status)
+
     for workload in workloads:
         for seed in seeds:
-            order = SIDES if seed % 2 == 1 else tuple(reversed(SIDES))
-            for side in order:
-                run = run_once(trees[side], workload, seed,
-                               spec["run_seconds"], metric_names)
-                doc["runs"].append({**run, "side": side})
-                with open(out, "w") as f:
-                    json.dump(doc, f, indent=1)
-                    f.write("\n")
-                log(f"{workload} seed {seed} {side}: "
-                    + ", ".join(f"{n}={run[n]:.4g}" for n in metric_names
-                                if run[n] is not None)
-                    + ("" if run["correct"] else " FAILED CHECKS"))
+            run_pair(workload, seed, traced=False)
+        run_pair(workload, seeds[0], traced=True)
     summarize(doc["runs"], spec, workloads, seeds)
     return 0
 
