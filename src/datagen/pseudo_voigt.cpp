@@ -7,16 +7,11 @@
 namespace fairdms::datagen {
 
 double pseudo_voigt(const PeakParams& p, double x, double y) {
-  const double dx = x - p.center_x;
-  const double dy = y - p.center_y;
-  const double ct = std::cos(p.theta);
-  const double st = std::sin(p.theta);
-  const double u = (ct * dx + st * dy) / p.sigma_major;
-  const double v = (-st * dx + ct * dy) / p.sigma_minor;
-  const double r2 = u * u + v * v;
-  const double gauss = std::exp(-0.5 * r2);
-  const double lorentz = 1.0 / (1.0 + r2);
-  return p.background + p.amplitude * (p.eta * lorentz + (1.0 - p.eta) * gauss);
+  const double r2 =
+      footprint_radius2(x - p.center_x, y - p.center_y, std::cos(p.theta),
+                        std::sin(p.theta), p.sigma_major, p.sigma_minor);
+  return profile_value(p.background, p.amplitude, p.eta, lorentzian(r2),
+                       gaussian(r2));
 }
 
 void render_peak(const PeakParams& p, std::size_t size, std::span<float> out) {

@@ -7,6 +7,7 @@
 // an elliptical, rotated footprint.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 
@@ -22,6 +23,30 @@ struct PeakParams {
   double amplitude = 1.0;   ///< peak height above background
   double background = 0.0;  ///< constant baseline
 };
+
+/// The profile's formula, in the pieces that pseudo_voigt composes. The
+/// labeler's fit (src/labeling) evaluates them separately so that it can
+/// keep the Lorentzian and Gaussian terms of a pixel and reuse them; going
+/// through these functions keeps its values bit-identical to pseudo_voigt's.
+
+/// Squared footprint radius r² at offset (dx, dy) from the center, given the
+/// cosine and sine of the major-axis orientation.
+inline double footprint_radius2(double dx, double dy, double ct, double st,
+                                double sigma_major, double sigma_minor) {
+  const double u = (ct * dx + st * dy) / sigma_major;
+  const double v = (-st * dx + ct * dy) / sigma_minor;
+  return u * u + v * v;
+}
+
+/// Lorentzian term 1/(1+r²) and Gaussian term exp(-r²/2) at radius² r2.
+inline double lorentzian(double r2) { return 1.0 / (1.0 + r2); }
+inline double gaussian(double r2) { return std::exp(-0.5 * r2); }
+
+/// Profile value from the Lorentzian and Gaussian terms at one point.
+inline double profile_value(double background, double amplitude, double eta,
+                            double lorentz, double gauss) {
+  return background + amplitude * (eta * lorentz + (1.0 - eta) * gauss);
+}
 
 /// Profile value at (x, y).
 double pseudo_voigt(const PeakParams& p, double x, double y);

@@ -14,9 +14,8 @@ namespace {
 constexpr std::size_t kNumParams = 6;
 
 /// The isotropic profile at one parameter vector, with sigma and eta clamped
-/// once here rather than once per pixel. radius2 and value together are
-/// datagen::pseudo_voigt with theta = 0, written with the same operations on
-/// the same operands, so every value matches it bit for bit.
+/// once here rather than once per pixel. It evaluates datagen::pseudo_voigt's
+/// pieces with theta = 0, so every value matches pseudo_voigt bit for bit.
 struct Profile {
   double center_x = 0.0, center_y = 0.0, sigma = 0.0, eta = 0.0,
          amplitude = 0.0, background = 0.0;
@@ -30,20 +29,15 @@ struct Profile {
         amplitude(p[4]),
         background(p[5]) {}
 
-  /// Squared footprint radius r² at (x, y). cos 0 and sin 0 stay operands so
-  /// that non-finite parameters propagate exactly as in pseudo_voigt.
+  /// r² at (x, y). cos 0 and sin 0 stay operands so that non-finite
+  /// parameters propagate exactly as in pseudo_voigt.
   [[nodiscard]] double radius2(double x, double y) const {
-    constexpr double ct = 1.0, st = 0.0;
-    const double dx = x - center_x;
-    const double dy = y - center_y;
-    const double u = (ct * dx + st * dy) / sigma;
-    const double v = (-st * dx + ct * dy) / sigma;
-    return u * u + v * v;
+    return datagen::footprint_radius2(x - center_x, y - center_y, 1.0, 0.0,
+                                      sigma, sigma);
   }
 
-  /// Value from the Lorentzian 1/(1+r²) and Gaussian exp(-r²/2) terms.
   [[nodiscard]] double value(double lorentz, double gauss) const {
-    return background + amplitude * (eta * lorentz + (1.0 - eta) * gauss);
+    return datagen::profile_value(background, amplitude, eta, lorentz, gauss);
   }
 };
 
@@ -91,8 +85,8 @@ FitResult fit_peak(std::span<const float> patch, std::size_t size,
         const std::size_t i = y * size + x;
         const double r2 =
             q.radius2(static_cast<double>(x), static_cast<double>(y));
-        t.gauss[i] = std::exp(-0.5 * r2);
-        t.lorentz[i] = 1.0 / (1.0 + r2);
+        t.gauss[i] = datagen::gaussian(r2);
+        t.lorentz[i] = datagen::lorentzian(r2);
         t.residual[i] =
             q.value(t.lorentz[i], t.gauss[i]) - static_cast<double>(patch[i]);
         ss += t.residual[i] * t.residual[i];
@@ -140,8 +134,8 @@ FitResult fit_peak(std::span<const float> patch, std::size_t size,
           for (std::size_t k = 0; k < 3; ++k) {
             const double r2 = shifted[k].radius2(static_cast<double>(x),
                                                  static_cast<double>(y));
-            const double f1 =
-                shifted[k].value(1.0 / (1.0 + r2), std::exp(-0.5 * r2));
+            const double f1 = shifted[k].value(datagen::lorentzian(r2),
+                                               datagen::gaussian(r2));
             jrow[k] = (f1 - f0) / h[k];
           }
           for (std::size_t k = 3; k < kNumParams; ++k) {
