@@ -38,15 +38,6 @@ store::DocId FairDMS::train_and_publish(models::TaskModel& model,
                       nn::save_parameters(model.net));
 }
 
-models::TaskModel FairDMS::materialize(store::DocId id) {
-  const auto record = zoo_.fetch_cached(id);
-  FAIRDMS_CHECK(record != nullptr, "zoo model ", id, " not found");
-  models::TaskModel model = models::make_model(
-      record->architecture, config_.seed, config_.patch_size);
-  nn::load_parameters(model.net, *record->parameters);
-  return model;
-}
-
 UpdateReport FairDMS::update_model(
     const Tensor& new_xs, const nn::Batchset& validation,
     UpdateStrategy strategy,

@@ -92,8 +92,6 @@ class FairDMS {
       std::optional<double> label_seconds_override = std::nullopt);
 
  private:
-  /// Loads zoo model `id` into a fresh TaskModel.
-  models::TaskModel materialize(store::DocId id);
   /// fairDS's current snapshot; aborts when fairDS was never trained.
   [[nodiscard]] std::shared_ptr<const fairds::Snapshot> snapshot() const;
   [[nodiscard]] double charge_transfer(const std::string& src,

@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "util/check.hpp"
-#include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fairdms::nn {
@@ -154,15 +154,17 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   float* pgx = grad_x.data();
   const float* pw = weight_.data();
 
-  // Per-chunk weight/bias gradient accumulators are merged under a mutex so
-  // results do not depend on thread interleaving order within a chunk.
-  // kTaskLocal: acquired inside pool chunks, possibly while a caller
-  // up-stack holds a subsystem lock (help-while-waiting runs chunks on the
-  // waiting thread), so it ranks above every subsystem mutex.
-  util::Mutex merge_mutex{util::LockRank::kTaskLocal};
+  // Each chunk's weight/bias partial sums land in the slot of its chunk
+  // index (a chunk covers at least one sample, so n slots suffice) and are
+  // added in chunk order after the call, so the float sums do not depend
+  // on which chunk finishes first. The chunk count follows the pool size:
+  // gradients repeat bit for bit on one host, not across hosts with
+  // different core counts.
+  std::vector<Tensor> chunk_gw(n);
+  std::vector<Tensor> chunk_gb(n);
   util::ThreadPool::global().parallel_for_chunked(
       n,
-      [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
+      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         std::vector<float> cols(col_rows * col_cols);
         std::vector<float> gcols(col_rows * col_cols);
         Tensor local_gw(grad_weight_.shape());
@@ -199,11 +201,15 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
           }
           col2im(gcols.data(), h, w, pgx + i * in_c_ * h * w);
         }
-        util::MutexLock lock(merge_mutex);
-        grad_weight_.add_(local_gw);
-        grad_bias_.add_(local_gb);
+        chunk_gw[chunk] = std::move(local_gw);
+        chunk_gb[chunk] = std::move(local_gb);
       },
       /*min_grain=*/1);
+  // Chunk indices are dense from 0, so the first empty slot ends them.
+  for (std::size_t c = 0; c < n && !chunk_gw[c].empty(); ++c) {
+    grad_weight_.add_(chunk_gw[c]);
+    grad_bias_.add_(chunk_gb[c]);
+  }
   return grad_x;
 }
 

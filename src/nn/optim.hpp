@@ -16,7 +16,6 @@ class Optimizer {
   void zero_grad() { model_->zero_grad(); }
 
   [[nodiscard]] double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr) { lr_ = lr; }
 
  protected:
   Layer* model_;

@@ -26,7 +26,105 @@ std::size_t fields_value_bytes(const Object& fields) {
   return value_bytes;
 }
 
+void index_doc(SecondaryIndexes& indexes, DocId id, const Value& doc) {
+  for (auto& [field, index] : indexes) {
+    if (doc.contains(field)) index[doc.at(field)].push_back(id);
+  }
+}
+
+void unindex_doc(SecondaryIndexes& indexes, DocId id, const Value& doc) {
+  for (auto& [field, index] : indexes) {
+    if (!doc.contains(field)) continue;
+    auto it = index.find(doc.at(field));
+    if (it == index.end()) continue;
+    auto& ids = it->second;
+    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
+    if (ids.empty()) index.erase(it);
+  }
+}
+
 }  // namespace
+
+// --- per-shard core ---------------------------------------------------------
+//
+// Clang's thread-safety analysis checks a lambda as a separate function
+// that holds no lock, so callbacks handed to the engine reach the guarded
+// indexes through a reference bound here, under the caller's lock.
+
+void Collection::Shard::insert(DocId id, Value doc, std::size_t bytes) {
+  index_doc(indexes, id, doc);
+  engine->insert(id, std::move(doc), bytes);
+}
+
+std::optional<Value> Collection::Shard::fetch(
+    DocId id, std::span<const std::string> fields,
+    std::size_t& charged_bytes) const {
+  std::optional<Value> out;
+  engine->read(id, [&](const Value& doc, std::size_t bytes) {
+    if (fields.empty()) {
+      charged_bytes += bytes;
+      out = doc;
+      return;
+    }
+    Object projected;
+    const Object& src = doc.as_object();
+    for (const std::string& field : fields) {
+      auto fit = src.find(field);
+      if (fit == src.end()) continue;
+      charged_bytes += 8 + field.size() + fit->second.encoded_size();
+      projected.emplace(field, fit->second);
+    }
+    out = Value(std::move(projected));
+  });
+  return out;
+}
+
+bool Collection::Shard::update(DocId id, Object fields) {
+  SecondaryIndexes& shard_indexes = indexes;
+  return engine->rewrite(id, [&](Value& doc) {
+    unindex_doc(shard_indexes, id, doc);
+    Object& obj = doc.as_object();
+    for (auto& [field, value] : fields) {
+      obj[field] = std::move(value);
+    }
+    index_doc(shard_indexes, id, doc);
+  });
+}
+
+bool Collection::Shard::erase(DocId id) {
+  SecondaryIndexes& shard_indexes = indexes;
+  return engine->read(id,
+                      [&](const Value& doc, std::size_t /*bytes*/) {
+                        unindex_doc(shard_indexes, id, doc);
+                      }) &&
+         engine->erase(id);
+}
+
+void Collection::Shard::create_index(const std::string& field) {
+  auto [slot, created] = indexes.try_emplace(field);
+  if (!created) return;
+  auto& index = slot->second;
+  engine->for_each([&](DocId id, const Value& doc) {
+    if (doc.contains(field)) index[doc.at(field)].push_back(id);
+  });
+}
+
+void Collection::Shard::find_eq(const std::string& field, const Value& value,
+                                std::vector<DocId>& out) const {
+  auto idx = indexes.find(field);
+  if (idx != indexes.end()) {
+    auto it = idx->second.find(value);
+    if (it != idx->second.end()) {
+      out.insert(out.end(), it->second.begin(), it->second.end());
+    }
+    return;
+  }
+  engine->for_each([&](DocId id, const Value& doc) {
+    if (doc.contains(field) && doc.at(field) == value) out.push_back(id);
+  });
+}
+
+// --- Collection -------------------------------------------------------------
 
 Collection::Collection(std::string name, const RemoteLink* link,
                        std::size_t shards, const StorageEngineConfig& engine)
@@ -76,7 +174,7 @@ DocId Collection::insert_one(Value doc) {
   Shard& shard = shard_of(id);
   {
     util::MutexLock lock(shard.mutex);
-    shard.engine->insert(id, std::move(doc), bytes);
+    shard.insert(id, std::move(doc), bytes);
   }
   charge(bytes + 64);  // request envelope
   return id;
@@ -107,7 +205,7 @@ std::vector<DocId> Collection::insert_many(std::vector<Value> docs) {
     Shard& shard = *shards_[s];
     util::MutexLock lock(shard.mutex);
     for (const std::size_t i : per_shard[s]) {
-      shard.engine->insert(ids[i], std::move(docs[i]), sizes[i]);
+      shard.insert(ids[i], std::move(docs[i]), sizes[i]);
     }
   });
   charge(total_bytes + 64);  // one batched round trip
@@ -120,7 +218,7 @@ std::optional<Value> Collection::find_by_id(DocId id) const {
   Shard& shard = shard_of(id);
   {
     util::ReaderLock lock(shard.mutex);
-    out = shard.engine->fetch(id, {}, bytes);
+    out = shard.fetch(id, {}, bytes);
   }
   charge(bytes);
   return out;
@@ -140,7 +238,7 @@ std::vector<std::optional<Value>> Collection::find_many(
     std::size_t bytes = 0;
     util::ReaderLock lock(shard.mutex);
     for (const std::size_t i : per_shard[s]) {
-      out[i] = shard.engine->fetch(ids[i], fields, bytes);
+      out[i] = shard.fetch(ids[i], fields, bytes);
     }
     shard_bytes[s] = bytes;
   });
@@ -148,22 +246,6 @@ std::vector<std::optional<Value>> Collection::find_many(
   for (const std::size_t b : shard_bytes) bytes += b;
   charge(bytes);  // one batched round trip for the whole id list
   return out;
-}
-
-bool Collection::replace_one(DocId id, Value doc) {
-  FAIRDMS_CHECK(doc.is_object(), "replace_one: document must be an object");
-  doc.as_object()["_id"] = Value(static_cast<std::int64_t>(id));
-  std::size_t bytes = 64;
-  bool found = false;
-  Shard& shard = shard_of(id);
-  {
-    util::MutexLock lock(shard.mutex);
-    std::size_t stored_bytes = 0;
-    found = shard.engine->replace(id, std::move(doc), stored_bytes);
-    if (found) bytes += stored_bytes;
-  }
-  charge(bytes);
-  return found;
 }
 
 bool Collection::update_field(DocId id, const std::string& field,
@@ -179,7 +261,7 @@ bool Collection::update_fields(DocId id, Object fields) {
   Shard& shard = shard_of(id);
   {
     util::MutexLock lock(shard.mutex);
-    found = shard.engine->update(id, std::move(fields));
+    found = shard.update(id, std::move(fields));
   }
   charge(64 + value_bytes);
   return found;
@@ -201,8 +283,7 @@ std::size_t Collection::update_many(
     util::MutexLock lock(shard.mutex);
     for (const std::size_t i : per_shard[s]) {
       shard_bytes[s] += fields_value_bytes(updates[i].second);
-      if (shard.engine->update(updates[i].first,
-                               std::move(updates[i].second))) {
+      if (shard.update(updates[i].first, std::move(updates[i].second))) {
         ++shard_updated[s];
       }
     }
@@ -222,7 +303,7 @@ bool Collection::remove_one(DocId id) {
   Shard& shard = shard_of(id);
   {
     util::MutexLock lock(shard.mutex);
-    found = shard.engine->erase(id);
+    found = shard.erase(id);
   }
   charge(64);
   return found;
@@ -232,16 +313,8 @@ void Collection::create_index(const std::string& field) {
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     util::MutexLock lock(shard.mutex);
-    shard.engine->create_index(field);
+    shard.create_index(field);
   }
-}
-
-bool Collection::has_index(const std::string& field) const {
-  // create_index installs the field on every shard before returning, so
-  // shard 0 is authoritative.
-  const Shard& shard = *shards_[0];
-  util::ReaderLock lock(shard.mutex);
-  return shard.engine->has_index(field);
 }
 
 std::vector<DocId> Collection::find_eq(const std::string& field,
@@ -250,21 +323,7 @@ std::vector<DocId> Collection::find_eq(const std::string& field,
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     util::ReaderLock lock(shard.mutex);
-    shard.engine->find_eq(field, value, out);
-  }
-  std::sort(out.begin(), out.end());
-  charge(64 + out.size() * 8);
-  return out;
-}
-
-std::vector<DocId> Collection::find_range(const std::string& field,
-                                          const Value& lo,
-                                          const Value& hi) const {
-  std::vector<DocId> out;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    util::ReaderLock lock(shard.mutex);
-    shard.engine->find_range(field, lo, hi, out);
+    shard.find_eq(field, value, out);
   }
   std::sort(out.begin(), out.end());
   charge(64 + out.size() * 8);
@@ -276,7 +335,7 @@ void Collection::scan(
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     util::ReaderLock lock(shard.mutex);
-    shard.engine->scan(fn);
+    shard.engine->for_each(fn);
   }
 }
 
@@ -329,9 +388,14 @@ void Collection::compact() {
 }
 
 std::vector<std::string> Collection::index_fields() const {
+  // create_index installs the field on every shard before returning, so
+  // shard 0 is authoritative.
   const Shard& shard = *shards_[0];
   util::ReaderLock lock(shard.mutex);
-  return shard.engine->index_fields();
+  std::vector<std::string> fields;
+  fields.reserve(shard.indexes.size());
+  for (const auto& [field, _] : shard.indexes) fields.push_back(field);
+  return fields;
 }
 
 DocId Collection::next_id() const {
@@ -349,7 +413,7 @@ void Collection::restore(DocId next_id,
     const std::size_t bytes = doc_bytes(doc);
     Shard& shard = shard_of(id);
     util::MutexLock lock(shard.mutex);
-    shard.engine->insert(id, std::move(doc), bytes);
+    shard.insert(id, std::move(doc), bytes);
   }
 }
 

@@ -8,22 +8,25 @@
 // modeling the remotely hosted deployment of the paper's evaluation.
 //
 // Sharding: a collection is partitioned into N hash-sharded sub-stores
-// (DocId -> shard by `id % N`), each with its own shared_mutex and its own
-// storage engine holding the document map, secondary indexes, and byte
-// accounting, so concurrent writes to different shards proceed in parallel
-// instead of queueing on one writer lock (the detector-rate ingest path).
-// Batched operations fan out per-shard — on the global util::ThreadPool
-// above a size threshold — and merge results deterministically. N = 1 (the
-// default) is byte-for-byte the previous single-lock collection.
+// (DocId -> shard by `id % N`), each with its own shared_mutex, its own
+// storage engine holding the documents and their byte accounting, and its
+// own secondary indexes, so concurrent writes to different shards proceed
+// in parallel instead of queueing on one writer lock (the detector-rate
+// ingest path). Batched operations fan out per-shard — on the global
+// util::ThreadPool above a size threshold — and merge results
+// deterministically. N = 1 (the default) is byte-for-byte the previous
+// single-lock collection.
 //
-// Storage engines (storage_engine.hpp): what lives under each shard lock is
-// pluggable — MemEngine (the seed's in-memory behavior, the default) or
+// Storage engines (storage_engine.hpp) keep records by id under each shard
+// lock — MemEngine (the seed's in-memory behavior, the default) or
 // LogEngine (a memory-mapped append-only log; durable, crash-recovering).
-// Sharding, locking, id allocation, charge accounting, and persistence
-// snapshots compose with any engine unchanged.
+// Each shard's core above its engine owns the indexes, projections,
+// charges and query fallbacks, written once for every engine, so mem/log
+// parity holds by construction. Sharding, locking, id allocation, and
+// persistence snapshots compose with any engine unchanged.
 //
 // Semantics that hold for every shard count and every engine:
-//  * find_eq / find_range / all_ids return ids in ascending order,
+//  * find_eq / all_ids return ids in ascending order,
 //    regardless of insert/update history.
 //  * find_many: out[i] answers ids[i]; duplicate ids are each resolved and
 //    charged independently; missing ids yield nullopt and cost only their
@@ -58,6 +61,12 @@
 #include "util/mutex.hpp"
 
 namespace fairdms::store {
+
+/// One shard's secondary indexes: field -> (value -> ids), ordered by
+/// value. Id vectors are in maintenance order; Collection sorts merged
+/// results.
+using SecondaryIndexes =
+    std::map<std::string, std::map<Value, std::vector<DocId>>>;
 
 class Collection {
  public:
@@ -103,8 +112,6 @@ class Collection {
       std::span<const DocId> ids,
       std::span<const std::string> fields = {}) const;
 
-  /// Replaces document `id`; returns false if absent.
-  bool replace_one(DocId id, Value doc);
   /// Sets a single field on document `id`; returns false if absent.
   /// Charges the encoded value size (plus envelope), not a flat constant —
   /// whether or not the document exists.
@@ -127,17 +134,11 @@ class Collection {
   /// every engine — a reopened durable collection starts index-less and
   /// callers re-create the indexes they need (as persist::load does).
   void create_index(const std::string& field);
-  [[nodiscard]] bool has_index(const std::string& field) const;
 
   /// ids of documents whose `field` equals `value`, ascending. Uses the
   /// per-shard indexes when they exist, otherwise a collection scan.
   [[nodiscard]] std::vector<DocId> find_eq(const std::string& field,
                                            const Value& value) const;
-  /// ids with lo <= field < hi, ascending (per-shard ordered-index range
-  /// scans or collection scans, merged).
-  [[nodiscard]] std::vector<DocId> find_range(const std::string& field,
-                                              const Value& lo,
-                                              const Value& hi) const;
 
   /// Applies fn to every (id, doc) under a shared lock, one shard at a
   /// time in shard order (document order within a shard is unspecified).
@@ -174,14 +175,39 @@ class Collection {
 
  private:
   /// One hash shard: a shared_mutex guarding an independent storage-engine
-  /// instance. Heap-allocated (shared_mutex is immovable) and never
-  /// resized after construction, so shard lookup itself is lock-free. The
-  /// engine pointer is set once in the constructor; all engine calls
-  /// happen with `mutex` held (exclusive for mutations, shared for
-  /// reads), per the StorageEngine contract.
+  /// instance and the shard's secondary indexes. Heap-allocated
+  /// (shared_mutex is immovable) and never resized after construction, so
+  /// shard lookup itself is lock-free. The engine pointer is set once in
+  /// the constructor.
+  ///
+  /// The member functions are the per-shard core, the one place where
+  /// everything keyed by a field is written for every engine: index
+  /// upkeep and backfill, find_eq's scan fallback, projections and their
+  /// charges, update's read-modify-write. Each runs under `mutex`, held by
+  /// the calling Collection method (exclusive for mutations, shared for
+  /// reads); none takes another lock or calls a Collection method.
   struct Shard {
     mutable util::SharedMutex mutex{util::LockRank::kStoreShard};
     std::unique_ptr<StorageEngine> engine GUARDED_BY(mutex);
+    /// In memory for every engine.
+    SecondaryIndexes indexes GUARDED_BY(mutex);
+
+    void insert(DocId id, Value doc, std::size_t bytes) REQUIRES(mutex);
+    /// The full document when `fields` is empty (charging its stored
+    /// encoded size), otherwise the projection (charging 8 + name +
+    /// encoded value bytes per present field). nullopt when absent
+    /// (nothing charged).
+    [[nodiscard]] std::optional<Value> fetch(
+        DocId id, std::span<const std::string> fields,
+        std::size_t& charged_bytes) const REQUIRES_SHARED(mutex);
+    /// Applies `fields` to document `id` (indexes maintained); false when
+    /// absent.
+    bool update(DocId id, Object fields) REQUIRES(mutex);
+    bool erase(DocId id) REQUIRES(mutex);
+    void create_index(const std::string& field) REQUIRES(mutex);
+    /// Appends ids with doc.field == value (index lookup or scan).
+    void find_eq(const std::string& field, const Value& value,
+                 std::vector<DocId>& out) const REQUIRES_SHARED(mutex);
   };
 
   [[nodiscard]] std::size_t shard_index(DocId id) const {

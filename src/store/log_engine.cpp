@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -161,6 +162,7 @@ void LogEngine::open_and_replay() {
         (kind != kPut && kind != kTombstone)) {
       break;
     }
+    max_id_ = std::max(max_id_, id);
     auto it = entries_.find(id);
     if (kind == kPut) {
       if (it != entries_.end()) payload_bytes_ -= it->second.length;
@@ -194,6 +196,7 @@ std::uint64_t LogEngine::append_record(std::uint8_t kind, DocId id,
                 "append failed for ", path_, ": ", std::strerror(errno));
   const std::uint64_t payload_offset = file_size_ + kPayloadOffsetInRecord;
   file_size_ += record.size();
+  max_id_ = std::max(max_id_, id);
   if (fsync_appends_) {
     FAIRDMS_CHECK(::fdatasync(fd_) == 0, "fdatasync failed for ", path_);
   }
@@ -209,116 +212,48 @@ Value LogEngine::load_doc(const Entry& entry) const {
   return std::move(*doc);
 }
 
-void LogEngine::insert(DocId id, Value doc, std::size_t bytes) {
+void LogEngine::put(DocId id, const Value& doc, std::size_t size_hint) {
   Binary payload;
-  payload.reserve(bytes);
+  payload.reserve(size_hint);
   doc.encode(payload);
   const std::uint64_t offset = append_record(kPut, id, payload);
-  entries_[id] = Entry{offset, static_cast<std::uint32_t>(payload.size())};
+  Entry& entry = entries_[id];
   payload_bytes_ += payload.size();
-  indexes_.insert(id, doc);
+  payload_bytes_ -= entry.length;
+  entry = Entry{offset, static_cast<std::uint32_t>(payload.size())};
 }
 
-std::optional<Value> LogEngine::fetch(DocId id,
-                                      std::span<const std::string> fields,
-                                      std::size_t& charged_bytes) const {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return std::nullopt;
-  Value doc = load_doc(it->second);
-  if (fields.empty()) {
-    charged_bytes += it->second.length;
-    return doc;
-  }
-  return project_fields(doc, fields, charged_bytes);
+void LogEngine::insert(DocId id, Value doc, std::size_t bytes) {
+  put(id, doc, bytes);
 }
 
-bool LogEngine::replace(DocId id, Value doc, std::size_t& stored_bytes) {
+bool LogEngine::read(DocId id, ReadFn fn) const {
   auto it = entries_.find(id);
   if (it == entries_.end()) return false;
-  const Value old = load_doc(it->second);
-  indexes_.remove(id, old);
-  payload_bytes_ -= it->second.length;
-  Binary payload;
-  doc.encode(payload);
-  const std::uint64_t offset = append_record(kPut, id, payload);
-  it->second = Entry{offset, static_cast<std::uint32_t>(payload.size())};
-  payload_bytes_ += payload.size();
-  indexes_.insert(id, doc);
-  stored_bytes = payload.size();
+  fn(load_doc(it->second), it->second.length);
   return true;
 }
 
-bool LogEngine::update(DocId id, Object fields) {
+bool LogEngine::rewrite(DocId id, RewriteFn fn) {
   auto it = entries_.find(id);
   if (it == entries_.end()) return false;
   Value doc = load_doc(it->second);
-  indexes_.remove(id, doc);
-  payload_bytes_ -= it->second.length;
-  Object& obj = doc.as_object();
-  for (auto& [field, value] : fields) {
-    obj[field] = std::move(value);
-  }
-  Binary payload;
-  doc.encode(payload);
-  const std::uint64_t offset = append_record(kPut, id, payload);
-  it->second = Entry{offset, static_cast<std::uint32_t>(payload.size())};
-  payload_bytes_ += payload.size();
-  indexes_.insert(id, doc);
+  fn(doc);
+  put(id, doc, it->second.length);
   return true;
 }
 
 bool LogEngine::erase(DocId id) {
   auto it = entries_.find(id);
   if (it == entries_.end()) return false;
-  const Value old = load_doc(it->second);
   append_record(kTombstone, id, {});
-  indexes_.remove(id, old);
   payload_bytes_ -= it->second.length;
   entries_.erase(it);
   return true;
 }
 
-void LogEngine::create_index(const std::string& field) {
-  if (!indexes_.create(field)) return;
-  for (const auto& [id, entry] : entries_) {
-    indexes_.insert_into(field, id, load_doc(entry));
-  }
-}
-
-bool LogEngine::has_index(const std::string& field) const {
-  return indexes_.contains(field);
-}
-
-std::vector<std::string> LogEngine::index_fields() const {
-  return indexes_.fields();
-}
-
-void LogEngine::find_eq(const std::string& field, const Value& value,
-                        std::vector<DocId>& out) const {
-  if (indexes_.find_eq(field, value, out)) return;
-  for (const auto& [id, entry] : entries_) {
-    const Value doc = load_doc(entry);
-    if (doc.contains(field) && doc.at(field) == value) out.push_back(id);
-  }
-}
-
-void LogEngine::find_range(const std::string& field, const Value& lo,
-                           const Value& hi, std::vector<DocId>& out) const {
-  if (indexes_.find_range(field, lo, hi, out)) return;
-  for (const auto& [id, entry] : entries_) {
-    const Value doc = load_doc(entry);
-    if (!doc.contains(field)) continue;
-    const Value& v = doc.at(field);
-    if (!(v < lo) && v < hi) out.push_back(id);
-  }
-}
-
-void LogEngine::scan(
-    const std::function<void(DocId, const Value&)>& fn) const {
-  for (const auto& [id, entry] : entries_) {
-    const Value doc = load_doc(entry);
-    fn(id, doc);
-  }
+void LogEngine::for_each(ForEachFn fn) const {
+  for (const auto& [id, entry] : entries_) fn(id, load_doc(entry));
 }
 
 void LogEngine::append_ids(std::vector<DocId>& out) const {
@@ -342,6 +277,12 @@ void LogEngine::compact() {
     frame_record(record, kPut, id, {map_ + entry.offset, entry.length});
     ok = util::write_all(tfd, record.data(), record.size());
     rewritten[id] = Entry{new_size + kPayloadOffsetInRecord, entry.length};
+    new_size += record.size();
+  }
+  if (ok && max_id_ != 0 && entries_.count(max_id_) == 0) {
+    record.clear();
+    frame_record(record, kTombstone, max_id_, {});
+    ok = util::write_all(tfd, record.data(), record.size());
     new_size += record.size();
   }
   if (ok) ok = ::fsync(tfd) == 0;

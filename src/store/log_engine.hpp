@@ -1,12 +1,13 @@
 // LogEngine: a memory-mapped append-only log storage engine.
 //
-// One segment file per shard. Every mutation appends a length-prefixed,
-// checksummed record — a `put` carrying the full encoded document (inserts,
-// replaces, and field updates all supersede by id) or a `tombstone`
+// One segment file per shard, holding records by id; the collection above
+// keeps every index and projection. Every mutation appends a
+// length-prefixed, checksummed record — a `put` carrying the full encoded
+// document (inserts and rewrites both supersede by id) or a `tombstone`
 // (deletes). Reads go through an in-memory id -> (offset, length) index
 // into a read-only mmap of the segment; the index, the live-document count,
-// and the payload-byte accounting are rebuilt by replaying the segment on
-// open.
+// the payload-byte accounting and the highest id any record carries are
+// rebuilt by replaying the segment on open.
 //
 // Crash consistency: appends are single sequential write(2) calls, so a
 // process killed at any byte offset leaves the segment equal to a prefix
@@ -16,7 +17,10 @@
 // in-flight tail. `compact()` rewrites only the live documents through a
 // tmp + fsync + rename rotation (the util/fsio.hpp pattern), so a crash
 // mid-compaction leaves either the old segment or the new one, never a
-// mix.
+// mix. When the highest id the segment ever held is no longer live,
+// compaction keeps one tombstone for it: that id floor is what stops a
+// reopened collection from handing a removed id out again, and replay
+// treats a tombstone for an absent id as a no-op.
 //
 // Record layout (after a 16-byte segment header: u32 magic, u32 version,
 // 8 reserved zero bytes), all integers little-endian (util/bytes.hpp):
@@ -31,7 +35,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "store/storage_engine.hpp"
 
@@ -48,37 +54,25 @@ class LogEngine final : public StorageEngine {
   LogEngine(const LogEngine&) = delete;
   LogEngine& operator=(const LogEngine&) = delete;
 
-  [[nodiscard]] const char* name() const override { return "log"; }
-
   void insert(DocId id, Value doc, std::size_t bytes) override;
-  [[nodiscard]] std::optional<Value> fetch(
-      DocId id, std::span<const std::string> fields,
-      std::size_t& charged_bytes) const override;
-  bool replace(DocId id, Value doc, std::size_t& stored_bytes) override;
-  bool update(DocId id, Object fields) override;
+  /// Decodes the document from the mapping.
+  bool read(DocId id, ReadFn fn) const override;
+  /// Decodes, calls fn, and appends the result as a new put record.
+  bool rewrite(DocId id, RewriteFn fn) override;
   bool erase(DocId id) override;
 
-  void create_index(const std::string& field) override;
-  [[nodiscard]] bool has_index(const std::string& field) const override;
-  [[nodiscard]] std::vector<std::string> index_fields() const override;
-  void find_eq(const std::string& field, const Value& value,
-               std::vector<DocId>& out) const override;
-  void find_range(const std::string& field, const Value& lo, const Value& hi,
-                  std::vector<DocId>& out) const override;
-
-  void scan(
-      const std::function<void(DocId, const Value&)>& fn) const override;
+  void for_each(ForEachFn fn) const override;
   void append_ids(std::vector<DocId>& out) const override;
   [[nodiscard]] std::size_t size() const override { return entries_.size(); }
   [[nodiscard]] std::size_t payload_bytes() const override {
     return payload_bytes_;
   }
-  [[nodiscard]] DocId max_id() const override {
-    return entries_.empty() ? 0 : entries_.rbegin()->first;
-  }
+  [[nodiscard]] DocId max_id() const override { return max_id_; }
 
   /// Rewrites the segment with only the live documents (tmp + fsync +
-  /// rename), dropping superseded records and tombstones.
+  /// rename), dropping superseded records and tombstones — except a
+  /// tombstone for max_id() when that id is not live, so the id floor
+  /// survives rotation.
   void compact() override;
 
   /// Current segment size in bytes (observability + compaction tests).
@@ -91,6 +85,8 @@ class LogEngine final : public StorageEngine {
   };
 
   void open_and_replay();
+  /// Encodes `doc` and appends it as the current version of `id`.
+  void put(DocId id, const Value& doc, std::size_t size_hint);
   /// Appends one framed record; returns the payload's file offset.
   std::uint64_t append_record(std::uint8_t kind, DocId id,
                               std::span<const std::uint8_t> payload);
@@ -107,10 +103,11 @@ class LogEngine final : public StorageEngine {
   const std::uint8_t* map_ = nullptr;
   std::size_t map_capacity_ = 0;
   std::size_t file_size_ = 0;
-  /// Ordered so max_id() and deterministic scans are free.
+  /// Ordered so scans run in id order.
   std::map<DocId, Entry> entries_;
   std::size_t payload_bytes_ = 0;
-  SecondaryIndexes indexes_;
+  /// Highest id any replayed or appended record carries, put or tombstone.
+  DocId max_id_ = 0;
 };
 
 }  // namespace fairdms::store

@@ -3,39 +3,40 @@
 // MongoDB's architecture separates the document/query surface from the
 // storage engine underneath it (MMAPv1 -> WiredTiger swapped without the
 // query layer noticing); this seam is the same cut for the fairDS store.
-// A Collection keeps owning identity (name, id allocation), sharding,
-// locking, and RemoteLink charge accounting; everything below — the
-// document map, the secondary indexes, and the resident-payload byte
-// accounting — lives behind StorageEngine, one engine instance per shard.
+// An engine keeps records by id: it stores, reads, rewrites, erases and
+// enumerates documents, and accounts their resident payload bytes. No
+// engine method takes a field name. Collection owns everything keyed by a
+// field — the secondary indexes and their upkeep, find_eq's scan fallback,
+// projections and their charges, update's read-modify-write — written once
+// in its per-shard core over any engine, plus identity (name, id
+// allocation), sharding, locking and RemoteLink charge accounting. One
+// engine instance per shard.
 //
 // Contract: every method is invoked with the owning shard's lock held —
 // exclusively for mutations, shared for const reads — so engines are
 // written single-threaded and inherit the collection's locking discipline
-// (including the PR-7 thread-safety annotations and the TSan suites)
-// unchanged. Charge arithmetic stays in Collection; engines only report
-// the stored-payload bytes a given read or write touches, so RemoteLink
-// accounting is engine-independent by construction.
+// (including the thread-safety annotations and the TSan suites)
+// unchanged. Engines only report the stored-payload bytes a read touches,
+// so RemoteLink accounting is engine-independent by construction.
 //
 // Engines:
-//  * MemEngine — the seed's in-memory guts, byte-for-byte: unordered doc
-//    map + cached encoded sizes + in-memory ordered secondary indexes.
+//  * MemEngine — the seed's in-memory document map with cached encoded
+//    sizes.
 //  * LogEngine (log_engine.hpp) — a memory-mapped append-only log with an
 //    in-memory id->offset index, tombstones, and explicit compaction; the
 //    first durable engine.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "store/document.hpp"
+#include "util/function_ref.hpp"
 
 namespace fairdms::store {
 
@@ -65,91 +66,37 @@ struct StorageEngineConfig {
   bool fsync_appends = false;
 };
 
-/// Secondary-index machinery shared by engines: field -> (value -> ids,
-/// ordered by value for range scans). Id vectors are in maintenance order;
-/// Collection sorts merged results, so order here is not part of the
-/// contract.
-class SecondaryIndexes {
- public:
-  /// Returns false when the index already existed (creation is a no-op).
-  bool create(const std::string& field) {
-    return indexes_.try_emplace(field).second;
-  }
-  [[nodiscard]] bool contains(const std::string& field) const {
-    return indexes_.count(field) > 0;
-  }
-  [[nodiscard]] std::vector<std::string> fields() const;
-
-  void insert(DocId id, const Value& doc);
-  void remove(DocId id, const Value& doc);
-  /// Indexes one existing document into `field` only (index-creation
-  /// backfill; insert() would also touch every other index).
-  void insert_into(const std::string& field, DocId id, const Value& doc);
-
-  /// Appends matching ids to `out`; false when `field` has no index (the
-  /// engine must fall back to a scan).
-  bool find_eq(const std::string& field, const Value& value,
-               std::vector<DocId>& out) const;
-  bool find_range(const std::string& field, const Value& lo, const Value& hi,
-                  std::vector<DocId>& out) const;
-
- private:
-  std::unordered_map<std::string, std::map<Value, std::vector<DocId>>>
-      indexes_;
-};
-
-/// Projects `fields` out of `doc` (documents missing a projected field
-/// simply omit it), accumulating the charged bytes exactly like the seed's
-/// find_many: 8 + field-name bytes + encoded value bytes per present field.
-[[nodiscard]] Value project_fields(const Value& doc,
-                                   std::span<const std::string> fields,
-                                   std::size_t& charged_bytes);
-
-/// One shard's storage. All methods are called under the owning shard's
-/// lock (exclusive for mutations, shared for const reads) — see file
-/// comment for the full contract.
+/// One shard's storage: documents by id, nothing keyed by a field. All
+/// methods are called under the owning shard's lock (exclusive for
+/// mutations, shared for const reads) — see file comment for the full
+/// contract. Callbacks run before the method returns, under that lock.
 class StorageEngine {
  public:
+  /// Receives a stored document and its encoded size.
+  using ReadFn = util::FunctionRef<void(const Value& doc, std::size_t bytes)>;
+  using RewriteFn = util::FunctionRef<void(Value& doc)>;
+  using ForEachFn = util::FunctionRef<void(DocId id, const Value& doc)>;
+
   virtual ~StorageEngine() = default;
 
-  [[nodiscard]] virtual const char* name() const = 0;
-
   /// Stores a new document under `id` (`_id` already stamped by the
-  /// caller); `bytes` is its encoded size, which the engine must report
-  /// back from payload_bytes()/fetch() accounting. `id` must not be live.
+  /// caller); `bytes` is its encoded size, which the engine reports back
+  /// through read() and payload_bytes(). `id` must not be live.
   virtual void insert(DocId id, Value doc, std::size_t bytes) = 0;
 
-  /// Fetches document `id`: the full document when `fields` is empty
-  /// (charging its stored encoded size), otherwise the projection
-  /// (charging per present field). nullopt when absent (nothing charged).
-  [[nodiscard]] virtual std::optional<Value> fetch(
-      DocId id, std::span<const std::string> fields,
-      std::size_t& charged_bytes) const = 0;
+  /// Calls fn(doc, bytes) with document `id`; false (fn not called) when
+  /// absent.
+  virtual bool read(DocId id, ReadFn fn) const = 0;
 
-  /// Replaces document `id`; `stored_bytes` gets the new encoded size when
-  /// found (the caller charges it). False + untouched when absent.
-  virtual bool replace(DocId id, Value doc, std::size_t& stored_bytes) = 0;
-
-  /// Applies `fields` to document `id` atomically (indexes, cached sizes,
-  /// and payload accounting maintained). False when absent.
-  virtual bool update(DocId id, Object fields) = 0;
+  /// Lets fn modify document `id`, then stores the result (payload
+  /// accounting maintained). False (fn not called) when absent.
+  virtual bool rewrite(DocId id, RewriteFn fn) = 0;
 
   /// Removes document `id`; false when absent.
   virtual bool erase(DocId id) = 0;
 
-  virtual void create_index(const std::string& field) = 0;
-  [[nodiscard]] virtual bool has_index(const std::string& field) const = 0;
-  [[nodiscard]] virtual std::vector<std::string> index_fields() const = 0;
-  /// Appends ids with doc.field == value (index lookup or scan fallback).
-  virtual void find_eq(const std::string& field, const Value& value,
-                       std::vector<DocId>& out) const = 0;
-  /// Appends ids with lo <= doc.field < hi.
-  virtual void find_range(const std::string& field, const Value& lo,
-                          const Value& hi, std::vector<DocId>& out) const = 0;
-
   /// Applies fn to every live (id, doc); iteration order is unspecified.
-  virtual void scan(
-      const std::function<void(DocId, const Value&)>& fn) const = 0;
+  virtual void for_each(ForEachFn fn) const = 0;
   /// Appends every live id (order unspecified; Collection sorts).
   virtual void append_ids(std::vector<DocId>& out) const = 0;
 
@@ -157,8 +104,9 @@ class StorageEngine {
   /// Resident payload bytes: the sum of live documents' encoded sizes —
   /// identical across engines so approx_bytes() is engine-independent.
   [[nodiscard]] virtual std::size_t payload_bytes() const = 0;
-  /// Highest live id (0 when empty) — lets a reopened durable engine
-  /// resume the collection's id counter past everything it recovered.
+  /// Highest id any record ever carried, live or removed (0 when none) —
+  /// lets a reopened durable engine resume the collection's id counter
+  /// past every id it handed out.
   [[nodiscard]] virtual DocId max_id() const = 0;
 
   /// Reclaims space held by superseded/tombstoned records (durable
@@ -167,36 +115,23 @@ class StorageEngine {
 };
 
 /// The seed's in-memory per-shard store behind the engine seam: document
-/// map with cached encoded sizes, in-memory secondary indexes, payload
-/// byte accounting. Byte-for-byte the pre-seam behavior.
+/// map with cached encoded sizes and payload byte accounting.
 class MemEngine final : public StorageEngine {
  public:
-  [[nodiscard]] const char* name() const override { return "mem"; }
-
   void insert(DocId id, Value doc, std::size_t bytes) override;
-  [[nodiscard]] std::optional<Value> fetch(
-      DocId id, std::span<const std::string> fields,
-      std::size_t& charged_bytes) const override;
-  bool replace(DocId id, Value doc, std::size_t& stored_bytes) override;
-  bool update(DocId id, Object fields) override;
+  /// Lends the stored document itself: no copy.
+  bool read(DocId id, ReadFn fn) const override;
+  /// Modifies the stored document in place.
+  bool rewrite(DocId id, RewriteFn fn) override;
   bool erase(DocId id) override;
 
-  void create_index(const std::string& field) override;
-  [[nodiscard]] bool has_index(const std::string& field) const override;
-  [[nodiscard]] std::vector<std::string> index_fields() const override;
-  void find_eq(const std::string& field, const Value& value,
-               std::vector<DocId>& out) const override;
-  void find_range(const std::string& field, const Value& lo, const Value& hi,
-                  std::vector<DocId>& out) const override;
-
-  void scan(
-      const std::function<void(DocId, const Value&)>& fn) const override;
+  void for_each(ForEachFn fn) const override;
   void append_ids(std::vector<DocId>& out) const override;
   [[nodiscard]] std::size_t size() const override { return docs_.size(); }
   [[nodiscard]] std::size_t payload_bytes() const override {
     return payload_bytes_;
   }
-  [[nodiscard]] DocId max_id() const override;
+  [[nodiscard]] DocId max_id() const override { return max_id_; }
 
  private:
   /// A stored document plus its cached encoded size, so every read charges
@@ -208,7 +143,7 @@ class MemEngine final : public StorageEngine {
 
   std::unordered_map<DocId, StoredDoc> docs_;
   std::size_t payload_bytes_ = 0;
-  SecondaryIndexes indexes_;
+  DocId max_id_ = 0;
 };
 
 /// Builds the per-shard engines for one collection. For kLog this creates

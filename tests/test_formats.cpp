@@ -441,9 +441,10 @@ TEST(FormatPins, LogSegmentPutAndTombstone) {
   write_bytes(put_only, Bytes(pinned.begin(), pinned.begin() + put_end));
   store::LogEngine engine(put_only);
   ASSERT_EQ(engine.size(), 1u);
-  std::size_t charged = 0;
-  const std::optional<Value> back = engine.fetch(7, {}, charged);
-  ASSERT_TRUE(back.has_value());
+  std::optional<Value> back;
+  ASSERT_TRUE(engine.read(7, [&](const Value& v, std::size_t /*bytes*/) {
+    back = v;
+  }));
   EXPECT_EQ(back->compare(doc), 0);
   EXPECT_EQ(engine.segment_bytes(), put_end);
 }

@@ -1,7 +1,7 @@
 // Coverage for corner paths not exercised elsewhere: loader/worker
-// invariance of delivered content, un-indexed range queries, diamond flow
-// DAGs, remote-mode store accounting, elbow degenerate ranges, and pooling /
-// upsampling shape variants.
+// invariance of delivered content, diamond flow DAGs, remote-mode store
+// accounting, elbow degenerate ranges, and pooling / upsampling shape
+// variants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,26 +49,6 @@ TEST(DataLoader, DeliveredContentIndependentOfWorkerCount) {
   // Batch *content over the epoch* is a pure function of (seed, epoch),
   // regardless of how many workers raced to produce it.
   EXPECT_EQ(delivered_set(1), delivered_set(4));
-}
-
-TEST(Collection, RangeQueryWithoutIndexMatchesIndexed) {
-  store::DocStore db;
-  auto& plain = db.collection("plain");
-  auto& indexed = db.collection("indexed");
-  indexed.create_index("t");
-  for (int i = 0; i < 30; ++i) {
-    store::Object doc;
-    doc["t"] = store::Value(static_cast<std::int64_t>(i % 10));
-    store::Object copy = doc;
-    plain.insert_one(store::Value(std::move(doc)));
-    indexed.insert_one(store::Value(std::move(copy)));
-  }
-  const auto a = plain.find_range("t", store::Value(std::int64_t{3}),
-                                  store::Value(std::int64_t{7}));
-  const auto b = indexed.find_range("t", store::Value(std::int64_t{3}),
-                                    store::Value(std::int64_t{7}));
-  EXPECT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.size(), 12u);  // t in {3,4,5,6} x 3 each
 }
 
 TEST(DocStore, RemoteModeChargesLink) {

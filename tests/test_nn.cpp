@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -105,6 +106,31 @@ TEST(GradCheck, Conv2dStridedPadded) {
   nn::Conv2d layer(1, 2, 3, rng, /*stride=*/2, /*padding=*/1);
   const Tensor x = Tensor::randn({2, 1, 7, 7}, rng);
   check_gradients(layer, x);
+}
+
+TEST(Conv2d, BackwardGradientsAreBitIdenticalAcrossCalls) {
+  // 64 samples span several thread-pool chunks; adding their partial sums
+  // in completion order made the gradient bits vary from call to call.
+  util::Rng rng(4);
+  nn::Conv2d layer(1, 16, 3, rng, /*stride=*/1, /*padding=*/1);
+  const Tensor x = Tensor::randn({64, 1, 15, 15}, rng);
+  const Tensor grad_out = Tensor::randn(layer.forward(x, Mode::kTrain).shape(),
+                                        rng);
+  const auto bits = [](const Tensor& t) {
+    std::vector<unsigned char> out(t.numel() * sizeof(float));
+    std::memcpy(out.data(), t.data(), out.size());
+    return out;
+  };
+  layer.zero_grad();
+  (void)layer.backward(grad_out);
+  const auto weight_bits = bits(*layer.grads()[0]);
+  const auto bias_bits = bits(*layer.grads()[1]);
+  for (int call = 1; call < 20; ++call) {
+    layer.zero_grad();
+    (void)layer.backward(grad_out);
+    ASSERT_EQ(bits(*layer.grads()[0]), weight_bits) << "call " << call;
+    ASSERT_EQ(bits(*layer.grads()[1]), bias_bits) << "call " << call;
+  }
 }
 
 TEST(GradCheck, Activations) {

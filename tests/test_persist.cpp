@@ -37,7 +37,7 @@ TEST(Persist, StoreRoundTripPreservesDocumentsAndIds) {
   ASSERT_TRUE(store::try_load_store(restored, dir).ok());
   auto& rcol = restored.collection("samples");
   EXPECT_EQ(rcol.size(), 50u);
-  EXPECT_TRUE(rcol.has_index("cluster"));
+  EXPECT_EQ(rcol.index_fields(), std::vector<std::string>{"cluster"});
   // Ids and contents survive.
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const auto doc = rcol.find_by_id(ids[i]);

@@ -1,5 +1,5 @@
 // Store substrate tests: document values (round trips, ordering), the
-// MongoDB-analog collection (CRUD, indexes, range queries, concurrency),
+// MongoDB-analog collection (CRUD, indexes, concurrency),
 // codecs (round-trip property suites, compression behaviour), the NFS store,
 // and the remote-link accounting.
 #include <gtest/gtest.h>
@@ -95,11 +95,6 @@ TEST(Collection, InsertFindUpdateRemove) {
   EXPECT_TRUE(col.update_field(id, "cluster", Value(std::int64_t{5})));
   EXPECT_EQ(col.find_by_id(id)->at("cluster").as_int(), 5);
 
-  Object repl;
-  repl["cluster"] = Value(std::int64_t{9});
-  EXPECT_TRUE(col.replace_one(id, Value(std::move(repl))));
-  EXPECT_EQ(col.find_by_id(id)->at("cluster").as_int(), 9);
-
   EXPECT_TRUE(col.remove_one(id));
   EXPECT_FALSE(col.find_by_id(id).has_value());
   EXPECT_FALSE(col.remove_one(id));
@@ -140,20 +135,6 @@ TEST(Collection, IndexBuiltOverExistingDocumentsAndMaintained) {
   col.update_field(ids.front(), "v", Value(std::int64_t{0}));
   EXPECT_EQ(col.find_eq("v", Value(std::int64_t{0})).size(), 6u);
   EXPECT_EQ(col.find_eq("v", Value(std::int64_t{1})).size(), 4u);
-}
-
-TEST(Collection, RangeQueries) {
-  store::DocStore db;
-  auto& col = db.collection("r");
-  col.create_index("t");
-  for (int i = 0; i < 20; ++i) {
-    Object doc;
-    doc["t"] = Value(static_cast<std::int64_t>(i));
-    col.insert_one(Value(std::move(doc)));
-  }
-  const auto hits =
-      col.find_range("t", Value(std::int64_t{5}), Value(std::int64_t{9}));
-  EXPECT_EQ(hits.size(), 4u);  // 5, 6, 7, 8
 }
 
 TEST(Collection, ParallelReadersWithConcurrentWriter) {

@@ -1,7 +1,8 @@
 // Storage-engine semantics: randomized mem-vs-log parity (every query
 // result, approx_bytes, and every charged byte must agree across engines,
 // at shard counts 1/2/8), log-engine durability — reopen replay, tombstone
-// persistence, compaction, byte-by-byte torn-tail truncation, and a child
+// persistence, the id floor a removed highest id leaves across reopen and
+// compaction, byte-by-byte torn-tail truncation, and a child
 // process SIGKILLed mid-ingest losing at most the tail record — plus the
 // engine-selection plumbing through DocStoreConfig / FairDSConfig /
 // DataServiceConfig.
@@ -226,11 +227,12 @@ TEST(LogCrash, TruncationSweepRecoversLongestValidPrefix) {
             doc_ends.begin(), doc_ends.end(),
             [cut](std::size_t end) { return end <= cut; }));
     ASSERT_EQ(engine.size(), expect_docs) << "cut at byte " << cut;
-    std::size_t ignored = 0;
     for (DocId id = 1; id <= expect_docs; ++id) {
-      const auto doc = engine.fetch(id, {}, ignored);
-      ASSERT_TRUE(doc.has_value()) << "cut " << cut << " id " << id;
-      EXPECT_EQ(doc->compare(expected_stored_doc(id)), 0);
+      const bool found =
+          engine.read(id, [&](const Value& doc, std::size_t /*bytes*/) {
+            EXPECT_EQ(doc.compare(expected_stored_doc(id)), 0);
+          });
+      ASSERT_TRUE(found) << "cut " << cut << " id " << id;
     }
   }
 }
@@ -263,27 +265,30 @@ TEST(LogCrash, CorruptTailRecordIsDroppedOnReopen) {
   LogEngine engine(seg);
   EXPECT_EQ(engine.size(), 2u);
   EXPECT_EQ(engine.segment_bytes(), second_doc_end);
-  std::size_t ignored = 0;
-  EXPECT_TRUE(engine.fetch(1, {}, ignored).has_value());
-  EXPECT_TRUE(engine.fetch(2, {}, ignored).has_value());
-  EXPECT_FALSE(engine.fetch(3, {}, ignored).has_value());
+  const auto ignore = [](const Value&, std::size_t) {};
+  EXPECT_TRUE(engine.read(1, ignore));
+  EXPECT_TRUE(engine.read(2, ignore));
+  EXPECT_FALSE(engine.read(3, ignore));
 }
 
 // --- randomized engine parity -----------------------------------------------
 
 /// Drives identical randomized op sequences against a MemEngine and a
-/// LogEngine collection (same shard count); every query result and both
-/// links' byte accounting must agree at every step.
+/// LogEngine collection (same shard count), including index creation over
+/// existing documents and reopening the log side from its directory;
+/// every query result and both links' byte accounting must agree at every
+/// step.
 void run_engine_parity(std::size_t shards, std::uint64_t seed) {
   TempDir dir("parity_" + std::to_string(shards));
   const RemoteLink link_a = accounting_link();
   const RemoteLink link_b = accounting_link();
   Collection a("parity", &link_a, shards);
-  Collection b("parity", &link_b, shards, log_config(dir.path));
+  std::optional<Collection> b;
+  b.emplace("parity", &link_b, shards, log_config(dir.path));
   ASSERT_STREQ(a.engine_name(), "mem");
-  ASSERT_STREQ(b.engine_name(), "log");
+  ASSERT_STREQ(b->engine_name(), "log");
   a.create_index("cluster");
-  b.create_index("cluster");
+  b->create_index("cluster");
 
   util::Rng rng(seed);
   std::vector<DocId> live;
@@ -302,7 +307,7 @@ void run_engine_parity(std::size_t shards, std::uint64_t seed) {
         Value doc = random_doc(op_rng);
         Value copy = doc;
         const DocId ia = a.insert_one(std::move(doc));
-        const DocId ib = b.insert_one(std::move(copy));
+        const DocId ib = b->insert_one(std::move(copy));
         ASSERT_EQ(ia, ib) << "op " << op;
         live.push_back(ia);
         break;
@@ -316,7 +321,7 @@ void run_engine_parity(std::size_t shards, std::uint64_t seed) {
           copies.push_back(docs.back());
         }
         const auto ia = a.insert_many(std::move(docs));
-        const auto ib = b.insert_many(std::move(copies));
+        const auto ib = b->insert_many(std::move(copies));
         ASSERT_EQ(ia, ib) << "op " << op;
         live.insert(live.end(), ia.begin(), ia.end());
         break;
@@ -325,7 +330,7 @@ void run_engine_parity(std::size_t shards, std::uint64_t seed) {
         const DocId id = any_id(op_rng);
         Value v(static_cast<std::int64_t>(op_rng.uniform_index(8)));
         EXPECT_EQ(a.update_field(id, "cluster", v),
-                  b.update_field(id, "cluster", v))
+                  b->update_field(id, "cluster", v))
             << "op " << op;
         break;
       }
@@ -341,7 +346,7 @@ void run_engine_parity(std::size_t shards, std::uint64_t seed) {
         fields["blob"] = Value(std::move(blob));
         Object copy = fields;
         EXPECT_EQ(a.update_fields(id, std::move(fields)),
-                  b.update_fields(id, std::move(copy)))
+                  b->update_fields(id, std::move(copy)))
             << "op " << op;
         break;
       }
@@ -356,28 +361,24 @@ void run_engine_parity(std::size_t shards, std::uint64_t seed) {
         }
         auto copy = updates;
         EXPECT_EQ(a.update_many(std::move(updates)),
-                  b.update_many(std::move(copy)))
+                  b->update_many(std::move(copy)))
             << "op " << op;
         break;
       }
-      case 5: {  // replace_one
-        const DocId id = any_id(op_rng);
-        Value doc = random_doc(op_rng);
-        Value copy = doc;
-        EXPECT_EQ(a.replace_one(id, std::move(doc)),
-                  b.replace_one(id, std::move(copy)))
-            << "op " << op;
+      case 5: {  // index creation backfills the existing documents
+        a.create_index("tag");
+        b->create_index("tag");
         break;
       }
       case 6: {  // remove_one
         const DocId id = any_id(op_rng);
-        EXPECT_EQ(a.remove_one(id), b.remove_one(id)) << "op " << op;
+        EXPECT_EQ(a.remove_one(id), b->remove_one(id)) << "op " << op;
         std::erase(live, id);
         break;
       }
       case 7: {  // find_by_id
         const DocId id = any_id(op_rng);
-        expect_same_docs(a.find_by_id(id), b.find_by_id(id), op);
+        expect_same_docs(a.find_by_id(id), b->find_by_id(id), op);
         break;
       }
       case 8: {  // find_many with duplicates/missing, sometimes projected
@@ -388,7 +389,7 @@ void run_engine_parity(std::size_t shards, std::uint64_t seed) {
         std::vector<std::string> fields;
         if (op_rng.uniform() < 0.5) fields = {"cluster", "blob"};
         const auto ra = a.find_many(ids, fields);
-        const auto rb = b.find_many(ids, fields);
+        const auto rb = b->find_many(ids, fields);
         ASSERT_EQ(ra.size(), rb.size()) << "op " << op;
         for (std::size_t i = 0; i < ra.size(); ++i) {
           expect_same_docs(ra[i], rb[i], op);
@@ -397,35 +398,36 @@ void run_engine_parity(std::size_t shards, std::uint64_t seed) {
       }
       case 9: {  // find_eq: indexed field and scanned field
         const Value c(static_cast<std::int64_t>(op_rng.uniform_index(8)));
-        EXPECT_EQ(a.find_eq("cluster", c), b.find_eq("cluster", c))
+        EXPECT_EQ(a.find_eq("cluster", c), b->find_eq("cluster", c))
             << "op " << op;
         const Value t(static_cast<std::int64_t>(op_rng.uniform_index(5)));
-        EXPECT_EQ(a.find_eq("tag", t), b.find_eq("tag", t)) << "op " << op;
+        EXPECT_EQ(a.find_eq("tag", t), b->find_eq("tag", t)) << "op " << op;
+        // `_id` is never indexed: the scan fallback, with hits.
+        const Value id(static_cast<std::int64_t>(any_id(op_rng)));
+        EXPECT_EQ(a.find_eq("_id", id), b->find_eq("_id", id)) << "op " << op;
         break;
       }
-      case 10: {  // find_range on the indexed field
-        const std::int64_t lo =
-            static_cast<std::int64_t>(op_rng.uniform_index(6));
-        const std::int64_t hi =
-            lo + 1 + static_cast<std::int64_t>(op_rng.uniform_index(3));
-        EXPECT_EQ(a.find_range("cluster", Value(lo), Value(hi)),
-                  b.find_range("cluster", Value(lo), Value(hi)))
-            << "op " << op;
+      case 10: {  // reopen b: replay, then re-create its indexes
+        const std::vector<std::string> fields = b->index_fields();
+        b.reset();
+        b.emplace("parity", &link_b, shards, log_config(dir.path));
+        for (const std::string& field : fields) b->create_index(field);
         break;
       }
       case 11: {  // bulk introspection
-        EXPECT_EQ(a.all_ids(), b.all_ids()) << "op " << op;
-        EXPECT_EQ(a.size(), b.size()) << "op " << op;
+        EXPECT_EQ(a.all_ids(), b->all_ids()) << "op " << op;
+        EXPECT_EQ(a.size(), b->size()) << "op " << op;
+        EXPECT_EQ(a.index_fields(), b->index_fields()) << "op " << op;
         break;
       }
       case 12: {  // compaction is transparent to every later op
         a.compact();
-        b.compact();
+        b->compact();
         break;
       }
     }
-    ASSERT_EQ(a.approx_bytes(), b.approx_bytes()) << "op " << op;
-    ASSERT_EQ(a.next_id(), b.next_id()) << "op " << op;
+    ASSERT_EQ(a.approx_bytes(), b->approx_bytes()) << "op " << op;
+    ASSERT_EQ(a.next_id(), b->next_id()) << "op " << op;
     ASSERT_EQ(link_a.bytes_moved(), link_b.bytes_moved()) << "op " << op;
     ASSERT_EQ(link_a.requests(), link_b.requests()) << "op " << op;
   }
@@ -449,7 +451,8 @@ TEST(LogDurability, ReopenRecoversDocumentsTombstonesAndIdCounter) {
     Collection col("samples", nullptr, 2, log_config(dir.path));
     for (int i = 0; i < 40; ++i) ids.push_back(col.insert_one(random_doc(rng)));
     col.update_field(ids[3], "cluster", Value(std::int64_t{42}));
-    col.replace_one(ids[5], random_doc(rng));
+    Value fresh = random_doc(rng);
+    col.update_fields(ids[5], std::move(fresh.as_object()));
     ASSERT_TRUE(col.remove_one(ids[7]));
     ASSERT_TRUE(col.remove_one(ids[8]));
     bytes_before = col.approx_bytes();
@@ -467,10 +470,35 @@ TEST(LogDurability, ReopenRecoversDocumentsTombstonesAndIdCounter) {
   EXPECT_EQ(updated->at("cluster").as_int(), 42);
   // Indexes are in-memory: a reopened collection starts index-less and
   // re-creating them backfills from the replayed documents.
-  EXPECT_FALSE(col.has_index("cluster"));
+  EXPECT_TRUE(col.index_fields().empty());
   col.create_index("cluster");
   EXPECT_EQ(col.find_eq("cluster", Value(std::int64_t{42})),
             std::vector<DocId>{ids[3]});
+}
+
+TEST(LogDurability, ReopenNeverReissuesARemovedHighestId) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    TempDir dir("reissue_" + std::to_string(shards));
+    util::Rng rng(7);
+    {
+      Collection col("samples", nullptr, shards, log_config(dir.path));
+      for (int i = 0; i < 3; ++i) col.insert_one(random_doc(rng));
+      ASSERT_TRUE(col.remove_one(3));
+    }
+    {
+      // Reopened straight after the remove: the tombstone holds the floor.
+      Collection col("samples", nullptr, shards, log_config(dir.path));
+      EXPECT_EQ(col.next_id(), 4u) << shards << " shard(s)";
+      EXPECT_EQ(col.insert_one(random_doc(rng)), 4u);
+      ASSERT_TRUE(col.remove_one(4));
+      col.compact();
+    }
+    // Reopened after a compaction: the rotated segment keeps the floor.
+    Collection col("samples", nullptr, shards, log_config(dir.path));
+    EXPECT_EQ(col.next_id(), 5u) << shards << " shard(s)";
+    EXPECT_EQ(col.insert_one(random_doc(rng)), 5u);
+    EXPECT_EQ(col.all_ids(), (std::vector<DocId>{1, 2, 5}));
+  }
 }
 
 TEST(LogDurability, CompactionShrinksSegmentsAndSurvivesReopen) {

@@ -78,7 +78,7 @@ void run_parity(std::size_t n_shards, std::uint64_t seed) {
   constexpr std::size_t kOps = 1000;
   for (std::size_t op = 0; op < kOps; ++op) {
     util::Rng op_rng = rng.fork(op);
-    switch (op_rng.uniform_index(12)) {
+    switch (op_rng.uniform_index(10)) {
       case 0: {  // insert_one
         Value doc = random_doc(op_rng);
         Value copy = doc;
@@ -141,27 +141,18 @@ void run_parity(std::size_t n_shards, std::uint64_t seed) {
             << "op " << op;
         break;
       }
-      case 5: {  // replace_one
-        const DocId id = any_id(op_rng);
-        Value doc = random_doc(op_rng);
-        Value copy = doc;
-        EXPECT_EQ(a.replace_one(id, std::move(doc)),
-                  b.replace_one(id, std::move(copy)))
-            << "op " << op;
-        break;
-      }
-      case 6: {  // remove_one
+      case 5: {  // remove_one
         const DocId id = any_id(op_rng);
         EXPECT_EQ(a.remove_one(id), b.remove_one(id)) << "op " << op;
         std::erase(live, id);
         break;
       }
-      case 7: {  // find_by_id
+      case 6: {  // find_by_id
         const DocId id = any_id(op_rng);
         expect_same_docs(a.find_by_id(id), b.find_by_id(id), op);
         break;
       }
-      case 8: {  // find_many with duplicates/missing, sometimes projected
+      case 7: {  // find_many with duplicates/missing, sometimes projected
         std::vector<DocId> ids;
         const std::size_t n = 1 + op_rng.uniform_index(8);
         for (std::size_t i = 0; i < n; ++i) ids.push_back(any_id(op_rng));
@@ -176,7 +167,7 @@ void run_parity(std::size_t n_shards, std::uint64_t seed) {
         }
         break;
       }
-      case 9: {  // find_eq: indexed field and scanned field
+      case 8: {  // find_eq: indexed field and scanned field
         const Value c(static_cast<std::int64_t>(op_rng.uniform_index(8)));
         EXPECT_EQ(a.find_eq("cluster", c), b.find_eq("cluster", c))
             << "op " << op;
@@ -184,17 +175,7 @@ void run_parity(std::size_t n_shards, std::uint64_t seed) {
         EXPECT_EQ(a.find_eq("tag", t), b.find_eq("tag", t)) << "op " << op;
         break;
       }
-      case 10: {  // find_range on the indexed field
-        const std::int64_t lo =
-            static_cast<std::int64_t>(op_rng.uniform_index(6));
-        const std::int64_t hi = lo + 1 +
-            static_cast<std::int64_t>(op_rng.uniform_index(3));
-        EXPECT_EQ(a.find_range("cluster", Value(lo), Value(hi)),
-                  b.find_range("cluster", Value(lo), Value(hi)))
-            << "op " << op;
-        break;
-      }
-      case 11: {  // bulk introspection
+      case 9: {  // bulk introspection
         EXPECT_EQ(a.all_ids(), b.all_ids()) << "op " << op;
         EXPECT_EQ(a.size(), b.size()) << "op " << op;
         break;
@@ -283,10 +264,6 @@ TEST(ShardSemantics, QueriesReturnAscendingIdsAfterUpdates) {
     const auto eq = col.find_eq("v", Value(std::int64_t{0}));
     ASSERT_EQ(eq.size(), ids.size()) << shards << " shards";
     EXPECT_TRUE(std::is_sorted(eq.begin(), eq.end())) << shards << " shards";
-    const auto range =
-        col.find_range("v", Value(std::int64_t{0}), Value(std::int64_t{2}));
-    EXPECT_TRUE(std::is_sorted(range.begin(), range.end()))
-        << shards << " shards";
     const auto all = col.all_ids();
     EXPECT_TRUE(std::is_sorted(all.begin(), all.end())) << shards << " shards";
     EXPECT_EQ(all, eq) << shards << " shards";

@@ -19,11 +19,17 @@ first on even ones. After a workload's pairs it runs the same command with
 its exit code, to BENCH_<topic>_ab.json (schema: what, host, claim,
 runs[]) after every run, so an interrupted A/B keeps what it measured. An
 existing file is extended. A traced run is stored with `traced: true`, its
-per-layer metrics and its `stages` line.
+per-layer metrics and its `stages` line. Every run also stores `wall_s`,
+its duration, and `steal_ticks`, the growth of the `steal` column of
+/proc/stat's `cpu` line over the run: CPU time the hypervisor gave to
+other guests, a sign of a noisy host.
 
 It then prints, per side, the failed share of operations and the number of
 runs that failed their own checks. Those runs feed no median and win no
-pair. For each workload and end-to-end metric of BENCHMARK.json it prints
+pair. Where runs carry them, it prints each pair's steal ticks and wall
+times, and marks `STEAL SKEW` on a pair whose two sides' steal differs by
+more than 2x and by at least 100 ticks; that changes no verdict and drops
+no run. For each workload and end-to-end metric of BENCHMARK.json it prints
 the parent and change medians, each side's quartile spread over its median,
 and the change's win count over all pairs run. A metric is flagged
 `unresolved` when either side's spread exceeds the metric's bound, unless
@@ -43,6 +49,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 SIDES = ("parent", "change")
 
@@ -73,6 +80,16 @@ def host_class():
     return f"{os.cpu_count()} vCPU {model}"
 
 
+def read_steal():
+    """Host steal so far: the `steal` column of /proc/stat's `cpu` line."""
+    try:
+        with open("/proc/stat") as f:
+            # cpu user nice system idle iowait irq softirq steal ...
+            return int(f.readline().split()[8])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 def parse_json(text):
     try:
         return json.loads(text)
@@ -84,15 +101,23 @@ def run_once(tree, workload, seed, seconds, metric_names, traced=False):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "1" if traced else "0"]
+    steal_before = read_steal()
+    start = time.monotonic()
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
+    wall_s = time.monotonic() - start
+    steal_after = read_steal()
     lines = proc.stdout.strip().splitlines()
     result = (parse_json(lines[-1]) if lines else None) or {}
     run = {"workload": workload, "seed": seed,
            "correct": proc.returncode == 0 and result.get("correct") is True,
            "attempted": result.get("attempted", 0),
            "failed": result.get("failed", 0),
-           "exit_code": proc.returncode}
+           "exit_code": proc.returncode,
+           "wall_s": round(wall_s, 2),
+           "steal_ticks": (steal_after - steal_before
+                           if None not in (steal_before, steal_after)
+                           else None)}
     if traced:
         run["traced"] = True
         run["stages"] = next((parse_json(line[len("stages "):])
@@ -139,6 +164,7 @@ def summarize_pairs(chosen, spec, workload, seeds):
               f"{bad[side]}, failed share {share[side]:.4g}")
     no_worse = (share["change"] <= share["parent"]
                 and bad["change"] <= bad["parent"])
+    summarize_steal(pairs)
     if len(pairs) < 2:
         return
     print(f"  {'metric':20s} {'parent':>10s} {'change':>10s} {'rel':>7s} "
@@ -173,6 +199,27 @@ def summarize_pairs(chosen, spec, workload, seeds):
               f"{wins:3d}/{len(pairs):<2d}  {' '.join(verdicts)}")
 
 
+def host_cost(r):
+    """', steal N, wall S s' where the run recorded them, else ''."""
+    if "wall_s" not in r:
+        return ""
+    return f", steal {r['steal_ticks']}, wall {r['wall_s']} s"
+
+
+def summarize_steal(pairs):
+    """Each pair's steal and wall times. STEAL SKEW marks a pair whose two
+    sides' steal differs by more than 2x and by at least 100 ticks."""
+    for p in sorted(pairs, key=lambda p: p["parent"]["seed"]):
+        if not all("wall_s" in p[side] for side in SIDES):
+            continue
+        steal = sorted(p[side]["steal_ticks"] or 0 for side in SIDES)
+        skew = steal[1] - steal[0] >= 100 and steal[1] > 2 * steal[0]
+        print(f"  seed {p['parent']['seed']:3d}: "
+              + "; ".join(f"{side} steal {p[side]['steal_ticks']}, wall "
+                          f"{p[side]['wall_s']} s" for side in SIDES)
+              + ("  STEAL SKEW" if skew else ""))
+
+
 def cell(value):
     if value is None:
         return f"{'-':>10s}"
@@ -192,7 +239,7 @@ def summarize_traced(traced, spec):
             if r is None:
                 continue
             print(f"    {side:6s} exit {r['exit_code']}, correct "
-                  f"{r['correct']}, failed {r['failed']}")
+                  f"{r['correct']}, failed {r['failed']}{host_cost(r)}")
             if r["exit_code"] != 0:
                 print(f"    TRACED RUN FAILED (exit {r['exit_code']})")
         stages = {side: r.get("stages") or {} for side, r in runs.items()}
@@ -271,7 +318,7 @@ def main():
                 + (" traced" if traced else "") + ": "
                 + ", ".join(f"{n}={run[n]:.4g}" for n in names
                             if run[n] is not None)
-                + status)
+                + host_cost(run) + status)
 
     for workload in workloads:
         for seed in seeds:
