@@ -1,7 +1,7 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "util/check.hpp"
@@ -115,18 +115,13 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
         for (std::size_t i = begin; i < end; ++i) {
           im2col(px + i * in_c_ * h * w, h, w, cols.data());
           float* out = py + i * out_c_ * col_cols;
-          // out[oc, :] = W[oc, :] . cols + b[oc]
+          // out[oc, :] = b[oc] + W[oc, :] . cols, summed from the bias.
           for (std::size_t oc = 0; oc < out_c_; ++oc) {
-            float* orow = out + oc * col_cols;
-            std::fill(orow, orow + col_cols, pb[oc]);
-            const float* wrow = pw + oc * col_rows;
-            for (std::size_t r = 0; r < col_rows; ++r) {
-              const float wv = wrow[r];
-              if (wv == 0.0f) continue;
-              const float* crow = cols.data() + r * col_cols;
-              for (std::size_t j = 0; j < col_cols; ++j) orow[j] += wv * crow[j];
-            }
+            std::fill_n(out + oc * col_cols, col_cols, pb[oc]);
           }
+          tensor::gemm(out_c_, col_cols, col_rows, pw, col_rows, false,
+                       cols.data(), col_cols, false, out, col_cols,
+                       /*accumulate=*/true);
         }
       },
       /*min_grain=*/1);
@@ -174,31 +169,22 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         for (std::size_t i = begin; i < end; ++i) {
           im2col(px + i * in_c_ * h * w, h, w, cols.data());
           const float* gout = pg + i * out_c_ * col_cols;
-          // dW[oc, r] += sum_j gout[oc, j] * cols[r, j]
-          // db[oc]   += sum_j gout[oc, j]
-          // gcols[r, j] = sum_oc W[oc, r] * gout[oc, j]
-          std::fill(gcols.begin(), gcols.end(), 0.0f);
+          // db[oc] += sum_j gout[oc, j]
           for (std::size_t oc = 0; oc < out_c_; ++oc) {
             const float* grow = gout + oc * col_cols;
-            const float* wrow = pw + oc * col_rows;
-            float* gwrow = lgw + oc * col_rows;
             double bsum = 0.0;
             for (std::size_t j = 0; j < col_cols; ++j) {
               bsum += static_cast<double>(grow[j]);
             }
             lgb[oc] += static_cast<float>(bsum);
-            for (std::size_t r = 0; r < col_rows; ++r) {
-              const float* crow = cols.data() + r * col_cols;
-              float* gcrow = gcols.data() + r * col_cols;
-              const float wv = wrow[r];
-              double wsum = 0.0;
-              for (std::size_t j = 0; j < col_cols; ++j) {
-                wsum += static_cast<double>(grow[j]) * crow[j];
-                gcrow[j] += wv * grow[j];
-              }
-              gwrow[r] += static_cast<float>(wsum);
-            }
           }
+          // dW += gout cols^T ; gcols = W^T gout
+          tensor::gemm(out_c_, col_rows, col_cols, gout, col_cols, false,
+                       cols.data(), col_cols, true, lgw, col_rows,
+                       /*accumulate=*/true);
+          tensor::gemm(col_rows, col_cols, out_c_, pw, col_rows, true, gout,
+                       col_cols, false, gcols.data(), col_cols,
+                       /*accumulate=*/false);
           col2im(gcols.data(), h, w, pgx + i * in_c_ * h * w);
         }
         chunk_gw[chunk] = std::move(local_gw);

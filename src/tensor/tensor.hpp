@@ -2,9 +2,10 @@
 //
 // This is the numeric substrate for the NN stack (src/nn), the embedding
 // algorithms (src/embed) and k-means (src/cluster). It is deliberately small:
-// contiguous float storage, shape arithmetic, elementwise ops, and a blocked,
-// thread-parallel GEMM. Layers that need structure (conv, pooling) index into
-// the flat storage themselves.
+// contiguous float storage, shape arithmetic, elementwise ops, and the one
+// matrix-product kernel (gemm) under matmul, nn::Linear and nn::Conv2d.
+// Layers that need structure (conv, pooling) index into the flat storage
+// themselves.
 #pragma once
 
 #include <cstddef>
@@ -90,8 +91,26 @@ class Tensor {
   std::vector<float> data_;
 };
 
+/// Products of at least this many multiply-adds (m * k * n) split over the
+/// global thread pool; smaller ones run inline on the calling thread.
+inline constexpr std::size_t kGemmInlineMacs = std::size_t{1} << 20;
+
+/// The matrix-product kernel: C = start + op(A) * op(B), where op is an
+/// optional transpose, op(A) is [m, k], op(B) is [k, n] and C is [m, n].
+/// A, B and C are row-major with leading dimensions lda, ldb and ldc (the
+/// stored row length: a transposed A is stored [k, m]). `start` is 0, or
+/// C's current value when `accumulate` is set (C += op(A) * op(B)).
+///
+/// Every C[i][j] is summed in increasing k, one float multiply and one
+/// float add per term, onto its start value, so the result equals the naive
+/// k-ordered loop bit for bit (finite inputs), whatever the tiling or the
+/// thread count. Products below kGemmInlineMacs run on the calling thread.
+void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
+          std::size_t lda, bool trans_a, const float* b, std::size_t ldb,
+          bool trans_b, float* c, std::size_t ldc, bool accumulate);
+
 /// C = op(A) * op(B) where op is optional transpose. Shapes (after op):
-/// A: [M, K], B: [K, N] -> C: [M, N]. Multi-threaded over rows of C.
+/// A: [M, K], B: [K, N] -> C: [M, N]. One gemm call.
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
 

@@ -3,7 +3,9 @@
 // and MC-dropout properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -130,6 +132,260 @@ TEST(Conv2d, BackwardGradientsAreBitIdenticalAcrossCalls) {
     (void)layer.backward(grad_out);
     ASSERT_EQ(bits(*layer.grads()[0]), weight_bits) << "call " << call;
     ASSERT_EQ(bits(*layer.grads()[1]), bias_bits) << "call " << call;
+  }
+}
+
+// Copies of the product loops nn::Linear and nn::Conv2d ran before both
+// called tensor::gemm: matmul's row-by-row i-k-j loop with its zero skip,
+// and Conv2d's im2col products. Linear forward and backward and Conv2d
+// forward and grad_x must match them bit for bit; Conv2d's weight gradient,
+// which summed each sample in double and now sums in float, within a
+// tolerance.
+namespace pre_gemm {
+
+Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
+  const std::size_t m = trans_a ? a.dim(1) : a.dim(0);
+  const std::size_t k = trans_a ? a.dim(0) : a.dim(1);
+  const std::size_t n = trans_b ? b.dim(0) : b.dim(1);
+  const std::size_t lda = a.dim(1);
+  const std::size_t ldb = b.dim(1);
+  Tensor c({m, n});
+  for (std::size_t i = 0; i < m; ++i) {
+    float* crow = c.data() + i * n;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float aval =
+          trans_a ? a.data()[kk * lda + i] : a.data()[i * lda + kk];
+      if (aval == 0.0f) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        crow[j] += aval * (trans_b ? b.data()[j * ldb + kk]
+                                   : b.data()[kk * ldb + j]);
+      }
+    }
+  }
+  return c;
+}
+
+struct ConvShape {
+  std::size_t in_c, out_c, kernel, stride, padding, h, w;
+  [[nodiscard]] std::size_t oh() const {
+    return (h + 2 * padding - kernel) / stride + 1;
+  }
+  [[nodiscard]] std::size_t ow() const {
+    return (w + 2 * padding - kernel) / stride + 1;
+  }
+  [[nodiscard]] std::size_t rows() const { return in_c * kernel * kernel; }
+};
+
+// Visits (column-matrix row, output pixel, image offset) for every tap
+// that lands inside the image.
+template <typename Fn>
+void for_each_tap(const ConvShape& s, Fn&& fn) {
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < s.in_c; ++c) {
+    for (std::size_t ky = 0; ky < s.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < s.kernel; ++kx, ++row) {
+        for (std::size_t oy = 0; oy < s.oh(); ++oy) {
+          const auto iy = static_cast<std::ptrdiff_t>(oy * s.stride + ky) -
+                          static_cast<std::ptrdiff_t>(s.padding);
+          for (std::size_t ox = 0; ox < s.ow(); ++ox) {
+            const auto ix = static_cast<std::ptrdiff_t>(ox * s.stride + kx) -
+                            static_cast<std::ptrdiff_t>(s.padding);
+            if (iy < 0 || ix < 0 || iy >= static_cast<std::ptrdiff_t>(s.h) ||
+                ix >= static_cast<std::ptrdiff_t>(s.w)) {
+              continue;
+            }
+            fn(row, oy * s.ow() + ox,
+               c * s.h * s.w + static_cast<std::size_t>(iy) * s.w +
+                   static_cast<std::size_t>(ix));
+          }
+        }
+      }
+    }
+  }
+}
+
+std::vector<float> im2col(const ConvShape& s, const float* img) {
+  const std::size_t cols = s.oh() * s.ow();
+  std::vector<float> out(s.rows() * cols, 0.0f);
+  for_each_tap(s, [&](std::size_t r, std::size_t j, std::size_t at) {
+    out[r * cols + j] = img[at];
+  });
+  return out;
+}
+
+Tensor conv_forward(const ConvShape& s, const Tensor& x, const Tensor& weight,
+                    const Tensor& bias) {
+  const std::size_t n = x.dim(0);
+  const std::size_t cols = s.oh() * s.ow();
+  Tensor y({n, s.out_c, s.oh(), s.ow()});
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto col = im2col(s, x.data() + i * s.in_c * s.h * s.w);
+    for (std::size_t oc = 0; oc < s.out_c; ++oc) {
+      float* orow = y.data() + (i * s.out_c + oc) * cols;
+      std::fill(orow, orow + cols, bias[oc]);
+      for (std::size_t r = 0; r < s.rows(); ++r) {
+        const float wv = weight[oc * s.rows() + r];
+        if (wv == 0.0f) continue;
+        for (std::size_t j = 0; j < cols; ++j) {
+          orow[j] += wv * col[r * cols + j];
+        }
+      }
+    }
+  }
+  return y;
+}
+
+struct ConvGrads {
+  Tensor grad_x;
+  std::vector<double> grad_weight;  // per-sample double sums, added in order
+  std::vector<double> mass;         // sum of |term| behind each weight grad
+};
+
+ConvGrads conv_backward(const ConvShape& s, const Tensor& x,
+                        const Tensor& weight, const Tensor& grad_out) {
+  const std::size_t n = x.dim(0);
+  const std::size_t cols = s.oh() * s.ow();
+  ConvGrads out{Tensor(x.shape()),
+                std::vector<double>(s.out_c * s.rows(), 0.0),
+                std::vector<double>(s.out_c * s.rows(), 0.0)};
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto col = im2col(s, x.data() + i * s.in_c * s.h * s.w);
+    const float* gout = grad_out.data() + i * s.out_c * cols;
+    std::vector<float> gcols(s.rows() * cols, 0.0f);
+    for (std::size_t oc = 0; oc < s.out_c; ++oc) {
+      for (std::size_t r = 0; r < s.rows(); ++r) {
+        const float wv = weight[oc * s.rows() + r];
+        for (std::size_t j = 0; j < cols; ++j) {
+          const double term =
+              static_cast<double>(gout[oc * cols + j]) * col[r * cols + j];
+          out.grad_weight[oc * s.rows() + r] += term;
+          out.mass[oc * s.rows() + r] += std::fabs(term);
+          gcols[r * cols + j] += wv * gout[oc * cols + j];
+        }
+      }
+    }
+    float* gx = out.grad_x.data() + i * s.in_c * s.h * s.w;
+    for_each_tap(s, [&](std::size_t r, std::size_t j, std::size_t at) {
+      gx[at] += gcols[r * cols + j];
+    });
+  }
+  return out;
+}
+
+}  // namespace pre_gemm
+
+std::vector<std::uint32_t> float_bits(const Tensor& t) {
+  std::vector<std::uint32_t> out(t.numel());
+  std::memcpy(out.data(), t.data(), t.numel() * sizeof(float));
+  return out;
+}
+
+/// randn with every third entry an exact zero of alternating sign, the way
+/// ReLU outputs and pruned weights carry them.
+Tensor randn_with_zeros(std::vector<std::size_t> shape, util::Rng& rng) {
+  Tensor t = Tensor::randn(std::move(shape), rng);
+  for (std::size_t i = 0; i < t.numel(); i += 3) t[i] = i % 2 ? -0.0f : 0.0f;
+  return t;
+}
+
+TEST(Linear, MatchesThePreGemmLoopsBitForBit) {
+  // The serving embed's two layers at 16 rows, BYOL's first layer at a
+  // batch of 64, and BraggNN's fc1 at a batch of 32 (the last two run on
+  // the pool).
+  struct Case {
+    std::size_t rows, in, out;
+  };
+  for (const Case& c : {Case{16, 225, 128}, Case{16, 128, 12},
+                        Case{64, 225, 128}, Case{32, 1936, 64}}) {
+    util::Rng rng(c.rows * 31 + c.in);
+    nn::Linear layer(c.in, c.out, rng);
+    Tensor& weight = *layer.params()[0];
+    Tensor& bias = *layer.params()[1];
+    bias = Tensor::randn({c.out}, rng);
+    const Tensor x = randn_with_zeros({c.rows, c.in}, rng);
+    const Tensor grad_out = randn_with_zeros({c.rows, c.out}, rng);
+
+    Tensor want_y = pre_gemm::matmul(x, weight, false, true);
+    for (std::size_t i = 0; i < c.rows; ++i) {
+      for (std::size_t j = 0; j < c.out; ++j) want_y.at(i, j) += bias[j];
+    }
+    EXPECT_EQ(float_bits(layer.forward(x, Mode::kTrain)), float_bits(want_y))
+        << c.rows << "x" << c.in << "->" << c.out;
+
+    // Two backward calls: the second adds onto the first's gradients.
+    layer.zero_grad();
+    Tensor want_gw(weight.shape());
+    Tensor want_gb(bias.shape());
+    for (int call = 0; call < 2; ++call) {
+      const Tensor gx = layer.backward(grad_out);
+      want_gw.add_(pre_gemm::matmul(grad_out, x, true, false));
+      for (std::size_t i = 0; i < c.rows; ++i) {
+        for (std::size_t j = 0; j < c.out; ++j) {
+          want_gb[j] += grad_out.at(i, j);
+        }
+      }
+      EXPECT_EQ(float_bits(gx),
+                float_bits(pre_gemm::matmul(grad_out, weight, false, false)));
+      EXPECT_EQ(float_bits(*layer.grads()[0]), float_bits(want_gw));
+      EXPECT_EQ(float_bits(*layer.grads()[1]), float_bits(want_gb));
+    }
+  }
+}
+
+// BraggNN's two convolutions, the CookieNetAE padded shape, and a strided,
+// padded, non-square one.
+const pre_gemm::ConvShape kConvShapes[] = {
+    {1, 8, 3, 1, 0, 15, 15},
+    {8, 16, 3, 1, 0, 13, 13},
+    {1, 6, 3, 1, 1, 12, 12},
+    {3, 5, 3, 2, 1, 9, 7},
+};
+
+TEST(Conv2d, ForwardAndInputGradientMatchThePreGemmLoopsBitForBit) {
+  for (const auto& s : kConvShapes) {
+    util::Rng rng(s.in_c * 100 + s.out_c);
+    nn::Conv2d layer(s.in_c, s.out_c, s.kernel, rng, s.stride, s.padding);
+    Tensor& weight = *layer.params()[0];
+    Tensor& bias = *layer.params()[1];
+    weight = randn_with_zeros(weight.shape(), rng);
+    bias = Tensor::randn(bias.shape(), rng);
+    const Tensor x = randn_with_zeros({6, s.in_c, s.h, s.w}, rng);
+    const Tensor y = layer.forward(x, Mode::kTrain);
+    EXPECT_EQ(float_bits(y),
+              float_bits(pre_gemm::conv_forward(s, x, weight, bias)))
+        << s.in_c << "->" << s.out_c << " stride " << s.stride;
+    const Tensor grad_out = randn_with_zeros(y.shape(), rng);
+    layer.zero_grad();
+    EXPECT_EQ(float_bits(layer.backward(grad_out)),
+              float_bits(pre_gemm::conv_backward(s, x, weight, grad_out).grad_x))
+        << s.in_c << "->" << s.out_c << " stride " << s.stride;
+  }
+}
+
+TEST(Conv2d, WeightGradientAgreesWithDoubleSums) {
+  // A float sum of n terms can stray by up to about n * 2^-24 of its
+  // absolute mass and in practice by about sqrt(n) * 2^-24. Every element
+  // must be within 1e-6 of its mass: these shapes read at most 4.1e-8, over
+  // a batch of 64 with 49-225 pixels per sample.
+  constexpr double kRelativeTolerance = 1e-6;
+  for (const auto& s : kConvShapes) {
+    util::Rng rng(s.in_c * 100 + s.out_c + 1);
+    nn::Conv2d layer(s.in_c, s.out_c, s.kernel, rng, s.stride, s.padding);
+    const Tensor x = Tensor::randn({64, s.in_c, s.h, s.w}, rng);
+    const Tensor grad_out =
+        Tensor::randn(layer.forward(x, Mode::kTrain).shape(), rng);
+    layer.zero_grad();
+    (void)layer.backward(grad_out);
+    const auto want =
+        pre_gemm::conv_backward(s, x, *layer.params()[0], grad_out);
+    const Tensor& got = *layer.grads()[0];
+    double worst = 0.0;
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+      worst = std::max(worst, std::fabs(got[i] - want.grad_weight[i]) /
+                                  want.mass[i]);
+    }
+    EXPECT_LE(worst, kRelativeTolerance)
+        << s.in_c << "->" << s.out_c << " stride " << s.stride;
   }
 }
 
