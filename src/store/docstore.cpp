@@ -407,6 +407,24 @@ void Collection::restore(DocId next_id,
   FAIRDMS_CHECK(size() == 0, "restore into non-empty collection '", name_,
                 "'");
   next_id_.store(next_id, std::memory_order_relaxed);
+  // A log engine recovers the id floor from the records it replays. When
+  // the snapshot's highest issued id was removed before the save, a put
+  // and a tombstone for it carry the floor (replay counts the tombstone,
+  // compaction keeps it).
+  const DocId top = next_id - 1;
+  if (top > 0 && std::none_of(documents.begin(), documents.end(),
+                              [&](const auto& entry) {
+                                return entry.first == top;
+                              })) {
+    Object placeholder;
+    placeholder["_id"] = Value(static_cast<std::int64_t>(top));
+    Value doc(std::move(placeholder));
+    const std::size_t bytes = doc_bytes(doc);
+    Shard& shard = shard_of(top);
+    util::MutexLock lock(shard.mutex);
+    shard.insert(top, std::move(doc), bytes);
+    shard.erase(top);
+  }
   for (auto& [id, doc] : documents) {
     FAIRDMS_CHECK(doc.is_object(), "restore: document must be an object");
     FAIRDMS_CHECK(id < next_id, "restore: id ", id, " >= next_id ", next_id);

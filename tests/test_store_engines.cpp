@@ -501,6 +501,43 @@ TEST(LogDurability, ReopenNeverReissuesARemovedHighestId) {
   }
 }
 
+TEST(LogDurability, RestoredSnapshotKeepsItsIdFloorAcrossReopen) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    TempDir dir("restore_floor_" + std::to_string(shards));
+    const std::string snap = dir.path + "/snap";
+    util::Rng rng(8);
+    {
+      // Saved from a mem collection whose highest id was removed.
+      store::DocStore src;
+      auto& col = src.collection("samples", shards);
+      for (int i = 0; i < 3; ++i) col.insert_one(random_doc(rng));
+      ASSERT_TRUE(col.remove_one(3));
+      ASSERT_TRUE(store::try_save_store(src, snap).ok());
+    }
+    store::DocStoreConfig config;
+    config.shards = shards;
+    config.engine = log_config(dir.path + "/data");
+    {
+      store::DocStore db(config);
+      ASSERT_TRUE(store::try_load_store(db, snap).ok());
+      EXPECT_EQ(db.collection("samples").next_id(), 4u) << shards;
+    }
+    {
+      // Reopened from the log alone, then compacted.
+      store::DocStore db(config);
+      auto& col = db.collection("samples");
+      EXPECT_EQ(col.next_id(), 4u) << shards << " shard(s)";
+      EXPECT_EQ(col.all_ids(), (std::vector<DocId>{1, 2}));
+      col.compact();
+    }
+    store::DocStore db(config);
+    auto& col = db.collection("samples");
+    EXPECT_EQ(col.next_id(), 4u) << shards << " shard(s)";
+    EXPECT_EQ(col.insert_one(random_doc(rng)), 4u);
+    EXPECT_EQ(col.all_ids(), (std::vector<DocId>{1, 2, 4}));
+  }
+}
+
 TEST(LogDurability, CompactionShrinksSegmentsAndSurvivesReopen) {
   TempDir dir("compact");
   util::Rng rng(88);
