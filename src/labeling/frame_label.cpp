@@ -80,17 +80,21 @@ double measure_frame_cost(const datagen::FrameConfig& frame_config,
                           const FrameLabelConfig& config) {
   FAIRDMS_CHECK(sample_frames > 0, "measure_frame_cost: no frames");
   util::Rng rng(seed);
-  double total = 0.0;
+  std::vector<double> seconds;
+  seconds.reserve(sample_frames);
   for (std::size_t f = 0; f < sample_frames; ++f) {
     const datagen::Frame frame =
         datagen::render_frame(frame_config, regime, rng);
     util::WallTimer timer;
     const auto peaks = label_frame(frame.pixels, frame_config.size, config);
-    total += timer.seconds();
+    seconds.push_back(timer.seconds());
     FAIRDMS_CHECK(!peaks.empty(), "peak finder found nothing — check "
                                   "threshold/regime");
   }
-  return total / static_cast<double>(sample_frames);
+  std::sort(seconds.begin(), seconds.end());
+  const std::size_t mid = seconds.size() / 2;
+  return seconds.size() % 2 == 1 ? seconds[mid]
+                                 : 0.5 * (seconds[mid - 1] + seconds[mid]);
 }
 
 }  // namespace fairdms::labeling

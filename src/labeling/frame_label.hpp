@@ -30,8 +30,9 @@ std::vector<FramePeak> label_frame(const std::vector<float>& pixels,
                                    std::size_t size,
                                    const FrameLabelConfig& config = {});
 
-/// Measures the mean wall-clock cost of labeling one frame (rendering
-/// excluded), by running `sample_frames` real frames through label_frame.
+/// Measures the wall-clock cost of labeling one frame (rendering excluded):
+/// the median over `sample_frames` real frames run through label_frame, so
+/// a frame the host happens to slow down does not move the result.
 double measure_frame_cost(const datagen::FrameConfig& frame_config,
                           const datagen::BraggRegime& regime,
                           std::size_t sample_frames, std::uint64_t seed,
