@@ -8,8 +8,13 @@
 //   (2) zoo construction (index build) vs warm rank/recommend: what a
 //       restart pays to rebuild the rank index from the store (one
 //       projected read of every record), and the per-call latency and link
-//       traffic of ranking the full zoo and of recommend's min-scan, which
-//       read the in-memory index and move zero bytes.
+//       traffic of ranking the full zoo and of recommend's bound-pruned
+//       min-scan, which read the in-memory index and move zero bytes. Three
+//       zoos: the random one above; a fleet shaped like perfbench's (8-bin
+//       u^3 + 1e-3 PDFs), queried with 16-sample histograms; and a worst
+//       case where every row has one PDF, so no row can be pruned and
+//       recommend's L1 pass is pure overhead. rank scores every row on
+//       all three.
 //   (3) byte-budget pressure: hit rate and evictions when the blob working
 //       set exceeds the cache budget — the knob behind
 //       FairDMSConfig.model_cache_bytes (a ModelZoo's construction-time
@@ -17,7 +22,9 @@
 //
 // The zoo is synthetic (random PDFs, fixed-size weight blobs): this bench
 // measures the registry and its cache, not training. The RemoteLink uses
-// the paper's remote-store profile (120us RTT, ~50Gb/s effective).
+// the paper's remote-store profile (120us RTT, ~50Gb/s effective). Each
+// time in (2) is the median of bench::kTimedRepeats windows, each the mean
+// of rank_repeats calls.
 //
 // Run with `abl_zoo small` for the CI smoke preset; the default full
 // preset is what EXPERIMENTS.md records.
@@ -43,17 +50,48 @@ struct Preset {
   std::size_t pdf_width;
   std::size_t blob_bytes;
   std::size_t fetch_probes;   ///< distinct models fetched in section (1)
-  std::size_t rank_repeats;   ///< calls averaged per row of section (2)
+  std::size_t rank_repeats;   ///< calls per timed window of section (2)
+  std::size_t fleet_models;   ///< rows of section (2)'s fleet zoos
 };
 
-Preset full_preset() { return {"full", 1024, 16, 64 * 1024, 64, 8}; }
-Preset small_preset() { return {"small", 128, 8, 16 * 1024, 16, 4}; }
+Preset full_preset() { return {"full", 1024, 16, 64 * 1024, 64, 8, 2000}; }
+Preset small_preset() { return {"small", 128, 8, 16 * 1024, 16, 4, 256}; }
+
+/// perfbench's fleet PDF width and query size.
+constexpr std::size_t kFleetWidth = 8;
+constexpr std::size_t kQuerySamples = 16;
 
 std::vector<double> random_pdf(fairdms::util::Rng& rng, std::size_t width) {
   std::vector<double> pdf(width);
   for (double& v : pdf) v = rng.uniform();
   pdf[rng.uniform_index(width)] += 0.5;
   return pdf;
+}
+
+/// A fleet PDF as perfbench draws one: u^3 + 1e-3 per bin, normalized.
+std::vector<double> fleet_pdf(fairdms::util::Rng& rng) {
+  std::vector<double> pdf(kFleetWidth);
+  double sum = 0.0;
+  for (double& v : pdf) {
+    const double u = rng.uniform();
+    v = u * u * u + 1e-3;
+    sum += v;
+  }
+  for (double& v : pdf) v /= sum;
+  return pdf;
+}
+
+/// The cluster histogram of a kQuerySamples-image query drawn from `pdf`.
+std::vector<double> histogram_query(fairdms::util::Rng& rng,
+                                    const std::vector<double>& pdf) {
+  std::vector<double> counts(pdf.size(), 0.0);
+  for (std::size_t s = 0; s < kQuerySamples; ++s) {
+    double u = rng.uniform();
+    std::size_t bin = 0;
+    while (bin + 1 < pdf.size() && u >= pdf[bin]) u -= pdf[bin++];
+    counts[bin] += 1.0;
+  }
+  return counts;
 }
 
 struct LinkDelta {
@@ -133,32 +171,70 @@ int main(int argc, char** argv) {
 
   // ---- (2) zoo construction (index build) vs warm rank/recommend --------
   std::printf("\n(2) zoo construction (index build) vs warm rank/recommend "
-              "over the full zoo (%zu repeats)\n", preset.rank_repeats);
-  bench::print_row("mode", "avg_ms", "KiB/call", "req/call");
-  const auto query = random_pdf(rng, preset.pdf_width);
-  const auto measure = [&](const char* label, auto&& call) {
-    util::WallTimer timer;
-    LinkDelta delta = measure_link(db, [&] {
-      for (std::size_t r = 0; r < preset.rank_repeats; ++r) call();
-    });
+              "over each full zoo (median of %zu x %zu calls)\n",
+              bench::kTimedRepeats, preset.rank_repeats);
+  bench::print_row("zoo", "mode", "avg_ms", "KiB/call", "req/call");
+  const auto measure = [&](const char* zoo_name, const char* label,
+                           const store::DocStore& store, auto&& call) {
+    std::vector<double> window_ms;
+    LinkDelta delta;
     const double n = static_cast<double>(preset.rank_repeats);
-    bench::print_row(label, timer.seconds() * 1e3 / n,
+    for (std::size_t w = 0; w < bench::kTimedRepeats; ++w) {
+      util::WallTimer timer;
+      delta = measure_link(store, [&] {
+        for (std::size_t r = 0; r < preset.rank_repeats; ++r) call();
+      });
+      window_ms.push_back(timer.millis() / n);
+    }
+    bench::print_row(zoo_name, label, bench::median(std::move(window_ms)),
                      static_cast<double>(delta.bytes) / n / 1024.0,
                      static_cast<double>(delta.requests) / n);
   };
-  measure("construct", [&] {
+  const auto scan = [&](const char* zoo_name, const fairms::ModelZoo& z,
+                        const store::DocStore& store,
+                        const std::vector<std::vector<double>>& queries) {
+    const fairms::ModelManager manager(z, 1.0);
+    std::size_t q = 0;
+    measure(zoo_name, "rank", store, [&] {
+      const auto ranked =
+          manager.rank("braggnn", queries[q++ % queries.size()]);
+      bench::do_not_optimize(ranked);
+    });
+    measure(zoo_name, "recommend", store, [&] {
+      const auto pick =
+          manager.recommend("braggnn", queries[q++ % queries.size()]);
+      bench::do_not_optimize(pick);
+    });
+  };
+  const auto query = random_pdf(rng, preset.pdf_width);
+  measure("random", "construct", db, [&] {
     fairms::ModelZoo rebuilt(db);
     bench::do_not_optimize(rebuilt.revision());
   });
-  fairms::ModelManager manager(zoo, 1.0);
-  measure("rank", [&] {
-    const auto ranked = manager.rank("braggnn", query);
-    bench::do_not_optimize(ranked);
-  });
-  measure("recommend", [&] {
-    const auto pick = manager.recommend("braggnn", query);
-    bench::do_not_optimize(pick);
-  });
+  scan("random", zoo, db, {query});
+
+  // The fleet zoos live in local stores: publishing them over the remote
+  // link would only slow the set-up, and rank/recommend never read a store.
+  const std::vector<std::uint8_t> tiny_blob = {1};
+  std::vector<std::vector<double>> fleet_queries;
+  for (std::size_t i = 0; i < 16; ++i) {
+    fleet_queries.push_back(histogram_query(rng, fleet_pdf(rng)));
+  }
+  store::DocStore fleet_db;
+  fairms::ModelZoo fleet(fleet_db);
+  for (std::size_t i = 0; i < preset.fleet_models; ++i) {
+    fleet.publish("braggnn", "fleet_" + std::to_string(i), fleet_pdf(rng),
+                  tiny_blob);
+  }
+  scan("fleet", fleet, fleet_db, fleet_queries);
+  store::DocStore same_db;
+  fairms::ModelZoo same(same_db);
+  const auto shared_pdf = fleet_pdf(rng);
+  for (std::size_t i = 0; i < preset.fleet_models; ++i) {
+    same.publish("braggnn", "same_" + std::to_string(i), shared_pdf,
+                 tiny_blob);
+  }
+  scan("same-pdf", same, same_db, fleet_queries);
 
   // ---- (3) byte-budget pressure --------------------------------------------
   std::printf("\n(3) budget pressure: fetch every model twice under "
@@ -189,6 +265,8 @@ int main(int argc, char** argv) {
   bench::print_footer(
       "a warm foundation load and every rank/recommend move zero link bytes "
       "— the remote store drops out of the serving hot path; a restart pays "
-      "one projected read of the zoo to rebuild the rank index");
+      "one projected read of the zoo to rebuild the rank index; recommend "
+      "runs the JSD kernel only on rows that can still win, and pays one L1 "
+      "pass per row where none can be pruned");
   return 0;
 }

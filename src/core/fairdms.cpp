@@ -45,6 +45,10 @@ UpdateReport FairDMS::update_model(
     std::optional<double> label_seconds_override) {
   UpdateReport report;
   ++update_counter_;
+  // One snapshot for the whole update: the lookup, the PDF the foundation
+  // is ranked by and the PDF the update is published under all come from
+  // one clustering, even when a retrain lands mid-update.
+  const auto snap = snapshot();
   // Training stochasticity is seeded from the config alone so that
   // strategies compared on the same data differ only in what the strategy
   // changes (labels and initialization), not in shuffle order.
@@ -64,7 +68,7 @@ UpdateReport FairDMS::update_model(
       train.xs = new_xs;
       train.ys = conventional_labeler(new_xs);
     } else {
-      train = snapshot()->lookup(new_xs, config_.seed + update_counter_);
+      train = snap->lookup(new_xs, config_.seed + update_counter_);
     }
     report.label_seconds = timer.seconds();
   }
@@ -72,15 +76,16 @@ UpdateReport FairDMS::update_model(
     report.label_seconds = *label_seconds_override;
   }
 
-  // (2) Choose the foundation model.
+  // (2) Choose the foundation model by the new data's PDF, computed once
+  // for the recommend and the publish.
   models::TaskModel model = models::make_model(
       config_.architecture, config_.seed, config_.patch_size);
   double lr = config_.scratch_lr;
+  util::WallTimer recommend_timer;
+  const std::vector<double> new_pdf = snap->distribution(new_xs);
   if (strategy == UpdateStrategy::kFairDMS) {
-    util::WallTimer timer;
-    const auto pick = manager_.recommend(
-        config_.architecture, snapshot()->distribution(new_xs));
-    report.recommend_seconds = timer.seconds();
+    const auto pick = manager_.recommend(config_.architecture, new_pdf);
+    report.recommend_seconds = recommend_timer.seconds();
     if (pick.has_value()) {
       // Cached load: a foundation picked repeatedly (the steady state when
       // the data distribution is stable) transfers zero store bytes after
@@ -89,6 +94,7 @@ UpdateReport FairDMS::update_model(
       FAIRDMS_CHECK(record != nullptr, "recommended model vanished");
       nn::load_parameters(model.net, *record->parameters);
       report.fine_tuned = true;
+      report.foundation_model = pick->model_id;
       report.foundation_distance = pick->distance;
       lr = config_.fine_tune_lr;
     }
@@ -114,8 +120,8 @@ UpdateReport FairDMS::update_model(
       config_.compute_endpoint, config_.source_endpoint, blob.size());
   report.published_model =
       zoo_.publish(config_.architecture,
-                   "update_" + std::to_string(update_counter_),
-                   snapshot()->distribution(new_xs), std::move(blob));
+                   "update_" + std::to_string(update_counter_), new_pdf,
+                   std::move(blob));
 
   report.total_seconds = report.label_seconds + report.recommend_seconds +
                          report.train_seconds + report.transfer_seconds;

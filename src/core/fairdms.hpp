@@ -11,9 +11,9 @@
 //   kConventional — caller-supplied conventional labeler (pseudo-Voigt)
 //                   + train from scratch
 //
-// The workflow's fairDS queries (the PDF-matched lookup, the recommend
-// PDF, the published model's PDF) run directly on the current
-// fairds::Snapshot, loaded once at each of those three points; a fairDS
+// The workflow's fairDS queries (the PDF-matched lookup, the new data's
+// PDF that the foundation is ranked by and the update is published under)
+// run on one fairds::Snapshot, loaded once when the update starts; a fairDS
 // that was never trained aborts the update.
 #pragma once
 
@@ -58,6 +58,7 @@ struct UpdateReport {
   double transfer_seconds = 0.0;   ///< simulated data/model movement
   double total_seconds = 0.0;
   bool fine_tuned = false;
+  store::DocId foundation_model = 0;  ///< 0 when trained from scratch
   double foundation_distance = 0.0;  ///< JSD of the chosen foundation
   std::size_t epochs = 0;
   std::size_t convergence_epoch = 0;

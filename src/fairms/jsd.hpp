@@ -35,4 +35,12 @@ double jensen_shannon_divergence(std::span<const double> p,
 /// normalized once, when they are indexed.
 double jsd_normalized(std::span<const double> p, std::span<const double> q);
 
+/// A lower bound on jsd_normalized(p, q) from the L1 distance alone:
+/// Pinsker's inequality gives JSD >= ||p - q||_1^2 / (8 ln 2) bits. The
+/// bound is shrunk by a relative and an absolute margin, because the kernel
+/// rounds below it for near-identical PDFs, and it is never negative. One
+/// pass of subtractions: no logarithm, no division. recommend() skips the
+/// kernel for a row whose bound already exceeds the distance to beat.
+double jsd_lower_bound(std::span<const double> p, std::span<const double> q);
+
 }  // namespace fairdms::fairms

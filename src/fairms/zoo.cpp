@@ -102,13 +102,14 @@ bool precedes(const Ranked& a, const Ranked& b) {
   return a.model_id < b.model_id;
 }
 
-/// Calls `visit` with the JSD of every model on `architecture`'s shelf at
-/// the input's width. The input is normalized once. A malformed input PDF
-/// (client-reachable: an empty query batch yields an all-zero cluster PDF)
-/// visits nothing and is logged instead of aborting the serving worker.
-template <typename Visit>
-void score_shelf(const ModelZoo& zoo, const std::string& architecture,
-                 std::span<const double> query_pdf, Visit&& visit) {
+/// Calls `scan(input, shelf)` with the input PDF, normalized once, and
+/// `architecture`'s shelf at its width: the one path by which rank and
+/// recommend reach a shelf. A malformed input PDF (client-reachable: an
+/// empty query batch yields an all-zero cluster PDF) scans nothing and is
+/// logged instead of aborting the serving worker.
+template <typename Scan>
+void scan_shelf(const ModelZoo& zoo, const std::string& architecture,
+                std::span<const double> query_pdf, Scan&& scan) {
   const auto input = try_normalized(query_pdf);
   if (!input.has_value()) {
     util::log_warn("model_manager: rank(", architecture,
@@ -118,9 +119,7 @@ void score_shelf(const ModelZoo& zoo, const std::string& architecture,
   }
   const auto shelf = zoo.shelf(architecture, input->size());
   if (shelf == nullptr) return;
-  for (std::size_t i = 0; i < shelf->ids.size(); ++i) {
-    visit(Ranked{shelf->ids[i], jsd_normalized(*input, shelf->row(i))});
-  }
+  scan(std::span<const double>(*input), *shelf);
 }
 
 }  // namespace
@@ -402,8 +401,13 @@ std::vector<Ranked> ModelManager::rank(
     const std::string& architecture,
     std::span<const double> query_pdf) const {
   std::vector<Ranked> out;
-  score_shelf(*zoo_, architecture, query_pdf,
-              [&](const Ranked& r) { out.push_back(r); });
+  scan_shelf(*zoo_, architecture, query_pdf,
+             [&](std::span<const double> input, const RankShelf& shelf) {
+               for (std::size_t i = 0; i < shelf.ids.size(); ++i) {
+                 out.push_back(
+                     {shelf.ids[i], jsd_normalized(input, shelf.row(i))});
+               }
+             });
   std::sort(out.begin(), out.end(), precedes);
   return out;
 }
@@ -412,10 +416,24 @@ std::optional<Ranked> ModelManager::recommend(
     const std::string& architecture,
     std::span<const double> query_pdf) const {
   std::optional<Ranked> best;
-  score_shelf(*zoo_, architecture, query_pdf, [&](const Ranked& r) {
-    if (!best.has_value() || precedes(r, *best)) best = r;
-  });
-  if (!best.has_value() || best->distance > threshold_) return std::nullopt;
+  scan_shelf(*zoo_, architecture, query_pdf,
+             [&](std::span<const double> input, const RankShelf& shelf) {
+               // A row can still win only if its JSD is at most `cut`: the
+               // threshold, then the best distance found so far. A row
+               // whose bound exceeds the cut cannot reach it; a row at the
+               // cut can still win on the id tie-break.
+               double cut = threshold_;
+               for (std::size_t i = 0; i < shelf.ids.size(); ++i) {
+                 if (jsd_lower_bound(input, shelf.row(i)) > cut) continue;
+                 const Ranked r{shelf.ids[i],
+                                jsd_normalized(input, shelf.row(i))};
+                 if (r.distance > cut) continue;
+                 if (!best.has_value() || precedes(r, *best)) {
+                   best = r;
+                   cut = r.distance;
+                 }
+               }
+             });
   return best;
 }
 

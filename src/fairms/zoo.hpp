@@ -225,8 +225,12 @@ class ModelManager {
       std::span<const double> query_pdf) const;
 
   /// Closest model if within threshold; nullopt => train from scratch. A
-  /// min-scan over the same shelf in the same (distance, id) order, so the
-  /// pick is always rank()'s front.
+  /// bound-pruned min-scan over the same shelf in the same (distance, id)
+  /// order: a row reaches the JSD kernel only when its jsd_lower_bound does
+  /// not exceed the threshold, or once a pick exists, the pick's distance.
+  /// A pruned row cannot win or tie, so the pick and its distance bits are
+  /// always rank()'s front; rank() itself still scores every row. On
+  /// perfbench's 2000-row fleet 2.4–3.0% of rows reach the kernel.
   [[nodiscard]] std::optional<Ranked> recommend(
       const std::string& architecture,
       std::span<const double> query_pdf) const;

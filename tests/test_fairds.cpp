@@ -1,14 +1,18 @@
 // fairDS tests: system-plane training, ingestion, distribution/lookup
-// fidelity, per-sample label reuse with threshold + fallback, and the
-// uncertainty-triggered retrain.
+// fidelity, per-sample label reuse with threshold + fallback, the
+// uncertainty-triggered retrain, and a model update racing retrains.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stop_token>
+#include <thread>
 #include <vector>
 
+#include "core/fairdms.hpp"
 #include "datagen/bragg.hpp"
 #include "fairds/fairds.hpp"
 #include "fairms/jsd.hpp"
+#include "models/models.hpp"
 #include "util/rng.hpp"
 
 namespace fairdms {
@@ -209,6 +213,50 @@ TEST(FairDs, ElbowSelectsClusterCountWhenUnset) {
   const std::size_t k = ds.snapshot()->n_clusters();
   EXPECT_GE(k, 2u);
   EXPECT_LE(k, 8u);
+}
+
+TEST_F(FairDsFixture, UpdateModelRanksAndPublishesUnderOneSnapshot) {
+  // update_model cycles while another thread forces retrains. Each retrain
+  // publishes a new clustering; an update that ranked its foundation under
+  // one and published under another would store a PDF whose JSD to the
+  // foundation differs from the distance it reported.
+  core::FairDMSConfig config;
+  config.train.max_epochs = 2;
+  config.train.batch_size = 16;
+  config.distance_threshold = 1.0;  // every cycle fine-tunes
+  config.seed = 23;
+  core::FairDMS system(config, *ds_, db_);
+  auto foundation = models::make_braggnn(4);
+  system.train_and_publish(foundation, history_, history_, "history_0");
+
+  const nn::Batchset probe = regime_data(1.2, 32, 40);
+  // Its destructor stops and joins the retrainer, also when an assertion
+  // returns early.
+  std::jthread retrainer([&](const std::stop_token& stop) {
+    while (!stop.stop_requested()) ds_->maybe_retrain(probe.xs, 1.01);
+  });
+  std::size_t cycles = 0;
+  std::size_t overlapped = 0;  // cycles during which a retrain published
+  while (cycles < 4 || (overlapped == 0 && cycles < 20)) {
+    const nn::Batchset new_data =
+        regime_data(0.1 * static_cast<double>(cycles % 4), 24, 50 + cycles);
+    const std::uint64_t version = ds_->snapshot()->version();
+    const auto report = system.update_model(new_data.xs, new_data,
+                                            core::UpdateStrategy::kFairDMS);
+    if (ds_->snapshot()->version() != version) ++overlapped;
+    ++cycles;
+    ASSERT_TRUE(report.fine_tuned) << "cycle " << cycles;
+    const auto published = system.zoo().fetch(report.published_model);
+    const auto picked = system.zoo().fetch(report.foundation_model);
+    ASSERT_TRUE(published.has_value() && picked.has_value());
+    // recommend's arithmetic: the query first, both normalized.
+    EXPECT_EQ(fairms::jsd_normalized(
+                  *fairms::try_normalized(published->train_pdf),
+                  *fairms::try_normalized(picked->train_pdf)),
+              report.foundation_distance)
+        << "cycle " << cycles;
+  }
+  EXPECT_GT(overlapped, 0u) << "no retrain landed during an update";
 }
 
 }  // namespace

@@ -39,9 +39,15 @@ by more than the parent's quartile distance, and neither its failed share
 nor its count of failed runs is higher than the parent's.
 
 Traced runs feed no median, win no pair and count in neither failed tally.
-For each seed that has them, it prints their exit codes and checks,
+A traced run also stores `server_ms`: for each wire op (`client.label`,
+`client.recommend`), the count and median duration of the
+`server_and_transport` spans under that op's root spans in the spans file
+run.py wrote, <tree>/.bench_build/traces/<workload>-seed<n>.jsonl. That
+is the time from a request's last byte sent to its whole reply read, the
+one per-op server-side time the wire recommend has. For each
+seed that has traced runs, it prints their exit codes and checks,
 `TRACED RUN FAILED (exit N)` for a nonzero exit, and the two sides'
-per-layer metrics and stages next to each other.
+per-layer metrics, stages and `server_ms` next to each other.
 """
 import argparse
 import json
@@ -52,6 +58,7 @@ import sys
 import time
 
 SIDES = ("parent", "change")
+WIRE_OPS = ("client.label", "client.recommend")
 
 
 def log(msg):
@@ -97,11 +104,36 @@ def parse_json(text):
         return None
 
 
+def wire_server_ms(tree, workload, seed, since):
+    """{op: {count, median_ms}} of the server_and_transport spans under each
+    wire op in the spans file of a traced run, or None when the file is
+    missing, unreadable or older than `since` (a run that wrote none)."""
+    path = os.path.join(tree, ".bench_build", "traces",
+                        f"{workload}-seed{seed}.jsonl")
+    try:
+        if os.path.getmtime(path) < since:
+            return None
+        with open(path) as f:
+            spans = [json.loads(line) for line in f if line.strip()]
+    except (OSError, ValueError):
+        return None
+    names = {s["id"]: s["name"] for s in spans}
+    ms = {op: [] for op in WIRE_OPS}
+    for s in spans:
+        op = names.get(s["parent"])
+        if s["name"] == "server_and_transport" and op in ms:
+            ms[op].append((s["end_us"] - s["start_us"]) / 1e3)
+    return {op: {"count": len(v),
+                 "median_ms": statistics.median(v) if v else None}
+            for op, v in ms.items()}
+
+
 def run_once(tree, workload, seed, seconds, metric_names, traced=False):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "1" if traced else "0"]
     steal_before = read_steal()
+    started_at = time.time()
     start = time.monotonic()
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
@@ -123,6 +155,7 @@ def run_once(tree, workload, seed, seconds, metric_names, traced=False):
         run["stages"] = next((parse_json(line[len("stages "):])
                               for line in lines
                               if line.startswith("stages ")), None)
+        run["server_ms"] = wire_server_ms(tree, workload, seed, started_at)
     metrics = result.get("metrics", {})
     for name in metric_names:
         run[name] = metrics.get(name, {}).get("value")
@@ -249,6 +282,12 @@ def summarize_traced(traced, spec):
                   {side: st.get(key) for side, st in stages.items()})
                  for key in dict.fromkeys(k for st in stages.values()
                                           for k in st)]
+        server = {side: r.get("server_ms") or {} for side, r in runs.items()}
+        for op in WIRE_OPS:
+            for key, label in (("median_ms", "server_ms"), ("count", "n")):
+                rows.append((f"{op}.{label}",
+                             {side: sv.get(op, {}).get(key)
+                              for side, sv in server.items()}))
         print(f"    {'per-layer metric':28s} {'parent':>10s} {'change':>10s}")
         for name, values in rows:
             if any(v is not None for v in values.values()):
