@@ -119,18 +119,26 @@ int main(int argc, char** argv) {
         s == 0 ? "fairds_samples" : "fairds_samples_s" + std::to_string(s);
     streams.push_back(std::make_unique<fairds::FairDS>(ds_config, db));
     streams.back()->train_system(history.xs);
-    streams.back()->ingest(history.xs, history.ys, "history");
+    // A log store reopened over --data-dir already holds the history;
+    // ingesting it again would store every row twice.
+    if (streams.back()->stored_count() == 0) {
+      streams.back()->ingest(history.xs, history.ys, "history");
+    }
     stream_names.push_back(s == 0 ? service::kDefaultStreamName
                                   : "s" + std::to_string(s));
   }
   fairds::FairDS& ds = *streams.front();
 
+  // The zoo too is seeded only when empty (a reopened log store keeps it).
   fairms::ModelZoo zoo(db);
   const auto snap = ds.snapshot();
-  for (std::size_t m = 0; m < 4; ++m) {
-    zoo.publish("braggnn", "seed_" + std::to_string(m),
-                snap->distribution(timeline.dataset_at(2 + m, 32, 6161 + m).xs),
-                std::vector<std::uint8_t>(4096, 0x42));
+  if (zoo.size() == 0) {
+    for (std::size_t m = 0; m < 4; ++m) {
+      zoo.publish(
+          "braggnn", "seed_" + std::to_string(m),
+          snap->distribution(timeline.dataset_at(2 + m, 32, 6161 + m).xs),
+          std::vector<std::uint8_t>(4096, 0x42));
+    }
   }
   fairms::ModelManager manager(zoo, /*distance_threshold=*/1.0);
 
@@ -182,12 +190,18 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, on_signal);
 
   // Parsed by scripts (and humans): the bound port, then a READY marker.
+  // Stored rows (over all streams) and zoo models let a restart over the
+  // same --data-dir show that nothing was stored twice.
+  std::size_t stored_rows = 0;
+  for (const auto& stream : streams) stored_rows += stream->stored_count();
   std::printf("serve: listening on 127.0.0.1:%u (workers %zu, max_pending "
-              "%zu, engine %s, streams %zu%s, model v%llu)\n",
+              "%zu, engine %s, streams %zu%s, model v%llu, stored rows %zu, "
+              "zoo models %zu)\n",
               static_cast<unsigned>(server.port()), workers, max_pending,
               ds.storage_engine(), n_streams,
               auto_retrain ? ", auto-retrain" : "",
-              static_cast<unsigned long long>(ds.snapshot()->version()));
+              static_cast<unsigned long long>(ds.snapshot()->version()),
+              stored_rows, zoo.size());
   std::printf("READY\n");
   std::fflush(stdout);
 

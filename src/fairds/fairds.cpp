@@ -1,8 +1,6 @@
 #include "fairds/fairds.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -19,7 +17,6 @@ FairDS::FairDS(FairDSConfig config, store::DocStore& db)
       samples_(&db.collection(
           config_.collection, config_.store_shards,
           config_.storage.has_value() ? &*config_.storage : nullptr)) {
-  samples_->create_index("cluster");
   samples_->create_index("dataset_id");
 }
 
@@ -70,46 +67,28 @@ std::shared_ptr<const Snapshot> FairDS::snapshot() const {
 void FairDS::train_system(const Tensor& historical_xs) {
   util::MutexLock lock(system_mutex_);
   train_system_impl(historical_xs, config_.seed);
-  // If the collection already holds samples (re-training over an existing
-  // history, or a FairDS constructed over a restored snapshot), mirror
-  // their stored cluster/embedding fields into the reuse index; those
-  // fields stay authoritative until maybe_retrain re-assigns them.
-  rebuild_index_from_store();
+  // Samples the collection already holds (a FairDS over an existing or
+  // reopened store) are indexed under the freshly trained plane.
+  const std::vector<store::DocId> ids = samples_->all_ids();
+  index_stored(ids, images_for(ids));
   publish_snapshot_locked();
 }
 
-void FairDS::rebuild_index_from_store() {
-  // Stored cluster ids can legitimately exceed the current model's k (they
-  // were assigned under an earlier clustering and stay authoritative until
-  // maybe_retrain re-assigns); queries only ever probe clusters < k, so
-  // such rows are simply unreachable — exactly like the pre-index
-  // implementation's find_eq on the stored field. Negative or absurdly
-  // large values, however, mean corrupt data and must fail loudly instead
-  // of indexing out of bounds.
-  constexpr std::int64_t kMaxClusterId = 1 << 20;
-  struct Row {
-    store::DocId id;
-    std::size_t cluster;
-    std::vector<float> embedding;
-  };
-  std::vector<Row> rows;
-  samples_->scan([&](store::DocId id, const store::Value& doc) {
-    auto emb = decode_floats(doc.at("embedding").as_binary());
-    FAIRDMS_CHECK(emb.size() == config_.embedding_dim,
-                  "stored embedding has wrong width");
-    const std::int64_t cluster = doc.at("cluster").as_int();
-    FAIRDMS_CHECK(cluster >= 0 && cluster < kMaxClusterId, "stored sample ",
-                  id, " has corrupt cluster id ", cluster);
-    rows.push_back({id, static_cast<std::size_t>(cluster), std::move(emb)});
-  });
-  // Insert in id order so nearest-neighbor ties resolve to the lowest id,
-  // matching the legacy find_eq member ordering and maybe_retrain's
-  // all_ids()-ordered rebuild (scan order is hash-map order).
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.id < b.id; });
+void FairDS::index_stored(const std::vector<store::DocId>& ids,
+                          const Tensor& images) {
   reuse_index_.reset(config_.embedding_dim);
-  for (const Row& row : rows) {
-    reuse_index_.add(row.cluster, row.id, row.embedding);
+  if (ids.empty()) return;
+  const Tensor embeddings = embedder_->embed(images);
+  const auto assignments = kmeans_->assign_batch(embeddings);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    reuse_index_.add(assignments[i], ids[i],
+                     {embeddings.data() + i * config_.embedding_dim,
+                      config_.embedding_dim});
+  }
+  if (label_width_ == 0) {
+    const auto doc = samples_->find_by_id(ids.front());
+    FAIRDMS_CHECK(doc.has_value(), "FairDS: stored sample vanished");
+    label_width_ = decode_floats(doc->at("y").as_binary()).size();
   }
 }
 
@@ -133,11 +112,6 @@ void FairDS::ingest(const Tensor& xs, const Tensor& ys,
   for (std::size_t i = 0; i < n; ++i) {
     store::Object doc;
     doc["dataset_id"] = store::Value(dataset_id);
-    doc["cluster"] =
-        store::Value(static_cast<std::int64_t>(assignments[i]));
-    doc["embedding"] = store::Value(
-        encode_floats({embeddings.data() + i * config_.embedding_dim,
-                       config_.embedding_dim}));
     doc["x"] = store::Value(encode_floats({xs.data() + i * pixels, pixels}));
     doc["y"] =
         store::Value(encode_floats({ys.data() + i * label_w, label_w}));
@@ -145,14 +119,9 @@ void FairDS::ingest(const Tensor& xs, const Tensor& ys,
   }
   const std::vector<store::DocId> ids = samples_->insert_many(std::move(docs));
 
-  // Mirror the new rows into the master reuse index incrementally — ingest
+  // Add the new rows to the master reuse index incrementally — ingest
   // already has the embeddings and assignments in hand; published snapshots
-  // keep their own immutable copies. train_system/maybe_retrain always
-  // reset the index to the configured width before ingest can run; a
-  // mismatch here would mean index and store have desynchronized.
-  FAIRDMS_CHECK(reuse_index_.dim() == config_.embedding_dim,
-                "FairDS::ingest: reuse index width ", reuse_index_.dim(),
-                " != configured embedding dim ", config_.embedding_dim);
+  // keep their own immutable copies.
   for (std::size_t i = 0; i < n; ++i) {
     reuse_index_.add(assignments[i], ids[i],
                      {embeddings.data() + i * config_.embedding_dim,
@@ -186,11 +155,11 @@ bool FairDS::maybe_retrain(const Tensor& new_xs, double certainty_threshold) {
                  static_cast<int>(certainty_threshold * 100.0),
                  "%)");
 
-  // Retrain the system plane on history + the new data, then re-assign the
-  // stored samples under the refreshed embedding/clustering. One batched
-  // projected read pulls every stored image; retraining inputs and the
-  // re-assignment pass share it. Concurrent queries keep running on the
-  // previously published snapshot for the duration.
+  // Retrain the system plane on history + the new data, then rebuild the
+  // reuse index from the same stored images under the refreshed plane. One
+  // batched projected read pulls every stored image; no sample record is
+  // written. Concurrent queries keep running on the previously published
+  // snapshot for the duration.
   const std::vector<store::DocId> ids = samples_->all_ids();
   const Tensor history = images_for(ids);
   Tensor combined;
@@ -207,29 +176,7 @@ bool FairDS::maybe_retrain(const Tensor& new_xs, double certainty_threshold) {
   const std::size_t retrain_no =
       retrains_.fetch_add(1, std::memory_order_relaxed) + 1;
   train_system_impl(combined, config_.seed + retrain_no);
-
-  // Re-embed all stored images in one batch, re-assign them in one batched
-  // update pass, and rebuild the reuse index from the fresh embeddings
-  // without another store read.
-  reuse_index_.reset(config_.embedding_dim);
-  if (!ids.empty()) {
-    const Tensor embeddings = embedder_->embed(history);
-    const auto assignments = kmeans_->assign_batch(embeddings);
-    std::vector<std::pair<store::DocId, store::Object>> updates;
-    updates.reserve(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const std::span<const float> row{
-          embeddings.data() + i * config_.embedding_dim,
-          config_.embedding_dim};
-      store::Object fields;
-      fields["cluster"] =
-          store::Value(static_cast<std::int64_t>(assignments[i]));
-      fields["embedding"] = store::Value(encode_floats(row));
-      updates.emplace_back(ids[i], std::move(fields));
-      reuse_index_.add(assignments[i], ids[i], row);
-    }
-    samples_->update_many(std::move(updates));
-  }
+  index_stored(ids, history);
   publish_snapshot_locked();
   return true;
 }

@@ -2,10 +2,13 @@
 //
 // System plane: train the self-supervised embedding model on historical
 // images, cluster the embedding space with k-means (K chosen by the elbow
-// method when not fixed), and keep the labeled history in the document store
-// with each sample's embedding and cluster id. Monitor clustering certainty
-// (fuzzy k-means) and retrain embedding + clustering + re-ingest when
-// certainty drops below threshold.
+// method when not fixed), and keep the labeled history in the document store.
+// A stored sample holds only its image `x`, label `y` and `dataset_id`; each
+// sample's embedding and cluster id are a pure function of its image and the
+// current plane, so they live only in the in-memory reuse index, derived
+// from the stored images (the paper's Fig. 3 stores them with the sample).
+// Monitor clustering certainty (fuzzy k-means) and retrain embedding +
+// clustering + rebuild the index when certainty drops below threshold.
 //
 // User plane: every query runs on a fairds::Snapshot (snapshot.hpp), the
 // immutable model version the system plane last published: the cluster-PDF
@@ -84,21 +87,23 @@ class FairDS {
   // --- system plane (serialized by an internal mutex) ----------------------
 
   /// Trains the embedding model and the clustering model on historical
-  /// images [N, 1, S, S], then publishes the first snapshot. Must run
-  /// before ingest and before any query.
+  /// images [N, 1, S, S], indexes every sample the collection already holds
+  /// under the new plane, then publishes a snapshot. Must run before ingest
+  /// and before any query.
   void train_system(const Tensor& historical_xs);
 
-  /// Embeds, clusters, and stores labeled samples (xs [N,1,S,S], ys [N,L])
-  /// under `dataset_id`, then publishes a refreshed snapshot. Requires a
-  /// trained system.
+  /// Stores labeled samples (xs [N,1,S,S], ys [N,L]) under `dataset_id`,
+  /// adds their embeddings and cluster ids to the reuse index, then
+  /// publishes a refreshed snapshot. Requires a trained system.
   void ingest(const Tensor& xs, const Tensor& ys,
               const std::string& dataset_id);
 
   /// The uncertainty-triggered update: if certainty(new_xs) falls below the
   /// configured threshold, retrain embedding + clustering on all stored
-  /// images plus new_xs, re-assign stored samples, publish the new
-  /// snapshot, and return true. Concurrent queries keep running against
-  /// the previous snapshot until the swap.
+  /// images plus new_xs, rebuild the reuse index from those images under
+  /// the new plane, publish the new snapshot, and return true. No sample
+  /// record is written. Concurrent queries keep running against the
+  /// previous snapshot until the swap.
   bool maybe_retrain(const Tensor& new_xs);
   /// Same check against an explicit threshold instead of the configured
   /// one — the hook a per-stream RetrainPolicy (service layer) uses to
@@ -127,9 +132,12 @@ class FairDS {
  private:
   void train_system_impl(const Tensor& xs, std::uint64_t seed)
       REQUIRES(system_mutex_);
-  /// Rebuilds the reuse index from the stored `cluster`/`embedding` fields
-  /// (used when models change but stored assignments are authoritative).
-  void rebuild_index_from_store() REQUIRES(system_mutex_);
+  /// Rebuilds the reuse index under the current plane from stored images:
+  /// row i of `images` is stored sample ids[i], ids ascending, so
+  /// nearest-neighbor ties resolve to the lowest id. Learns the label width
+  /// from the first row when it is still unknown.
+  void index_stored(const std::vector<store::DocId>& ids,
+                    const Tensor& images) REQUIRES(system_mutex_);
   /// Copies the master state into an immutable Snapshot and publishes it.
   /// Caller must hold system_mutex_ (compiler-checked).
   void publish_snapshot_locked() REQUIRES(system_mutex_);
@@ -151,8 +159,8 @@ class FairDS {
   std::shared_ptr<embed::Embedder> embedder_ GUARDED_BY(system_mutex_);
   std::optional<cluster::KMeansModel> kmeans_ GUARDED_BY(system_mutex_);
   ReuseIndex reuse_index_ GUARDED_BY(system_mutex_);
-  /// Label width of ingested samples; 0 until known (set on first ingest,
-  /// re-derived from the store when a FairDS is built over existing data).
+  /// Label width of stored samples; 0 until known (set on first ingest, or
+  /// read from the store when a FairDS is built over existing data).
   std::size_t label_width_ GUARDED_BY(system_mutex_) = 0;
   std::uint64_t version_ GUARDED_BY(system_mutex_) = 0;
 

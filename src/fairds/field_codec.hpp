@@ -1,9 +1,9 @@
 // Shared helpers for the fairDS stored-sample field format.
 //
-// Every fairDS write path (ingest, retrain re-assignment) and read path
-// (snapshot fetches, index rebuild, the legacy baseline) must agree on how
-// `x` / `y` / `embedding` float vectors are (de)serialized into binary
-// fields. One pair of helpers keeps them from drifting apart.
+// The fairDS write path (ingest) and read paths (snapshot fetches, the
+// reuse-index rebuild's image read) must agree on how the `x` / `y` float
+// vectors are (de)serialized into binary fields. One pair of helpers keeps
+// them from drifting apart.
 #pragma once
 
 #include <span>

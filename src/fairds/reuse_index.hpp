@@ -1,19 +1,19 @@
 // In-memory embedding index for the fairDS per-sample reuse path (the
 // second level of the paper's two-level hierarchical search, §II-A).
 //
-// The document store holds each sample's embedding as an encoded binary
-// field, which made the Fig. 9 reuse workload O(queries x cluster size)
-// document fetches + decodes per batch. This index keeps a structure-of-
-// arrays mirror of that data — per cluster, a contiguous row-major float
-// block of embeddings plus a parallel DocId array — so nearest-neighbor
-// search touches only dense floats and returns DocIds; the store is then
-// read once, batched, for just the winning documents.
+// The document store holds each sample's image and label only; a sample's
+// embedding and cluster id are a pure function of its image and the current
+// system plane, and live here. Per cluster the index keeps a structure-of-
+// arrays block — a contiguous row-major float block of embeddings plus a
+// parallel DocId array — so nearest-neighbor search touches only dense
+// floats and returns DocIds; the store is then read once, batched, for just
+// the winning documents.
 //
-// Populated incrementally at FairDS::ingest, rebuilt wholesale when
-// maybe_retrain refreshes the embedding/clustering models. Searches use
-// squared-distance partial pruning (abandon a candidate as soon as its
-// partial sum exceeds the current best) and parallelize over query rows on
-// util::ThreadPool. Read-only operations are safe to call concurrently;
+// Populated incrementally at FairDS::ingest, rebuilt wholesale from the
+// stored images whenever train_system or maybe_retrain sets a new
+// embedding/clustering plane. Searches use squared-distance partial pruning
+// (abandon a candidate as soon as its partial sum exceeds the current best)
+// and parallelize over query rows on util::ThreadPool. Read-only operations are safe to call concurrently;
 // mutation requires external exclusion (FairDS's system plane owns that).
 //
 // Copies are copy-on-write per cluster: mark_shared() + copy shares the

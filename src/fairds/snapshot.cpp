@@ -54,21 +54,6 @@ double Snapshot::certainty(const Tensor& xs) const {
   return cluster::dataset_certainty(kmeans_, embed(xs), fuzzy);
 }
 
-std::size_t Snapshot::label_width() const {
-  std::size_t width = label_width_.load(std::memory_order_relaxed);
-  if (width != 0) return width;
-  // Unknown width (snapshot built over a pre-existing collection): derive
-  // it from any stored sample once and cache it.
-  samples_->scan([&](store::DocId, const store::Value& doc) {
-    if (width == 0) {
-      width = decode_floats(doc.at("y").as_binary()).size();
-    }
-  });
-  FAIRDMS_CHECK(width > 0, "FairDS: no stored samples to infer label width");
-  label_width_.store(width, std::memory_order_relaxed);
-  return width;
-}
-
 nn::Batchset Snapshot::fetch_samples(
     const std::vector<store::DocId>& ids) const {
   FAIRDMS_CHECK(!ids.empty(), "Snapshot::fetch_samples: empty id list");
@@ -177,8 +162,8 @@ nn::Batchset Snapshot::lookup_or_label(
   const auto neighbors = index_->nearest_batch(
       {embeddings.data(), embeddings.numel()}, assignments);
 
-  out.ys = Tensor({n, label_width()});
-  const std::size_t label_w = out.ys.dim(1);
+  const std::size_t label_w = label_width_;
+  out.ys = Tensor({n, label_w});
 
   std::vector<std::size_t> reuse_rows;
   std::vector<store::DocId> reuse_ids;

@@ -19,15 +19,14 @@
 //    never written after construction.
 //  * The backing document store collection is internally synchronized
 //    (shared_mutex), so concurrent batched reads against it are safe even
-//    while the system plane re-assigns stored samples — snapshots only read
-//    the immutable `x`/`y` fields, never the mutable `cluster`/`embedding`
-//    assignment fields.
+//    while the system plane ingests or retrains. A stored sample (`x`, `y`,
+//    `dataset_id`) is never rewritten: a retrain rebuilds only the
+//    in-memory reuse index.
 //  * A snapshot can outlive the FairDS state that produced it: readers
 //    holding the shared_ptr keep querying the old model version while (or
 //    after) a retrain publishes a new one.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -96,9 +95,9 @@ class Snapshot {
   [[nodiscard]] std::size_t n_clusters() const { return kmeans_.k(); }
   /// Monotonic model version: bumped on every system-plane publish.
   [[nodiscard]] std::uint64_t version() const { return version_; }
-  /// Label width of stored samples; derived from the store on first use
-  /// when unknown at publish time (snapshot over a pre-existing history).
-  [[nodiscard]] std::size_t label_width() const;
+  /// Label width of stored samples, known at publish; 0 while nothing has
+  /// been stored.
+  [[nodiscard]] std::size_t label_width() const { return label_width_; }
   /// Rows in this snapshot's reuse index (not the live store count).
   [[nodiscard]] std::size_t indexed_count() const { return index_->size(); }
 
@@ -117,9 +116,7 @@ class Snapshot {
   std::size_t embedding_dim_;
   double fuzziness_;
   std::uint64_t version_;
-  /// 0 until known; lazily derived from any stored sample. Racing readers
-  /// compute the same value, so a plain atomic store publishes it safely.
-  mutable std::atomic<std::size_t> label_width_;
+  std::size_t label_width_;
 };
 
 }  // namespace fairdms::fairds

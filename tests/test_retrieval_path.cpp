@@ -1,17 +1,23 @@
-// Reuse-path tests: exact parity between the rewritten (reuse-index +
-// batched-reads) lookup_or_label and the preserved pre-rewrite baseline,
-// the empty-store cold start, single-member/empty clusters, the batched
-// find_many read (missing ids, projections, single round trip), and
-// approx_bytes invariance across insert/update/replace/remove cycles.
+// Reuse-path tests: exact parity between the reuse-index lookup_or_label
+// and a brute-force oracle over the stored images, the empty-store cold
+// start, single-member/empty clusters, stored rows from an older record
+// layout, the batched find_many read (missing ids, projections, single
+// round trip), and approx_bytes invariance across insert/update/replace/
+// remove cycles.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <functional>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "datagen/bragg.hpp"
 #include "fairds/fairds.hpp"
-#include "fairds/reuse_baseline.hpp"
 #include "store/codec.hpp"
 #include "store/docstore.hpp"
 #include "util/rng.hpp"
@@ -76,6 +82,98 @@ void expect_batchsets_identical(const nn::Batchset& a, const nn::Batchset& b,
   }
 }
 
+/// The first `n` images of `xs`.
+Tensor head_rows(const Tensor& xs, std::size_t n) {
+  Tensor out({n, xs.dim(1), xs.dim(2), xs.dim(3)});
+  std::copy_n(xs.data(), out.numel(), out.data());
+  return out;
+}
+
+std::vector<float> decode(const Value& field) {
+  const store::RawCodec codec;
+  std::vector<float> out;
+  codec.decode(field.as_binary(), out);
+  return out;
+}
+
+/// Brute-force reference for Snapshot::lookup_or_label, independent of the
+/// reuse index: embeds every stored image with the snapshot and assigns it
+/// with the snapshot's clustering, then scans the query's cluster in
+/// ascending id with a double-precision distance and a strict `<` (ties keep
+/// the lowest id). Misses go to one fallback call, as in the served path.
+nn::Batchset brute_force_lookup_or_label(
+    const fairds::Snapshot& snap, const store::Collection& samples,
+    const Tensor& xs, double threshold,
+    const std::function<Tensor(const Tensor&)>& fallback_labeler,
+    fairds::ReuseStats* stats) {
+  const std::size_t s = snap.image_size();
+  const std::size_t pixels = s * s;
+  const std::size_t dim = snap.embedding_dim();
+  const std::vector<store::DocId> ids = samples.all_ids();
+  const std::vector<std::string> fields = {"x", "y"};
+  const auto docs = samples.find_many(ids, fields);
+  Tensor stored_xs({ids.size(), 1, s, s});
+  std::vector<std::vector<float>> stored_ys;
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    const std::vector<float> x = decode(docs[j]->at("x"));
+    std::copy(x.begin(), x.end(), stored_xs.data() + j * pixels);
+    stored_ys.push_back(decode(docs[j]->at("y")));
+  }
+  const Tensor stored_emb = snap.embed(stored_xs);
+  const auto stored_cluster = snap.clusters().assign_batch(stored_emb);
+  const Tensor query_emb = snap.embed(xs);
+  const auto query_cluster = snap.clusters().assign_batch(query_emb);
+
+  const std::size_t n = xs.dim(0);
+  const std::size_t label_w = stored_ys.front().size();
+  nn::Batchset out;
+  out.xs = xs;
+  out.ys = Tensor({n, label_w});
+  std::vector<std::size_t> fallback_rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* e = query_emb.data() + i * dim;
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t best_row = ids.size();
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      if (stored_cluster[j] != query_cluster[i]) continue;
+      const float* r = stored_emb.data() + j * dim;
+      double d = 0.0;
+      for (std::size_t k = 0; k < dim; ++k) {
+        const double diff = static_cast<double>(e[k]) - r[k];
+        d += diff * diff;
+      }
+      d = std::sqrt(d);
+      if (d < best) {
+        best = d;
+        best_row = j;
+      }
+    }
+    if (best_row < ids.size() && best < threshold) {
+      std::copy_n(stored_xs.data() + best_row * pixels, pixels,
+                  out.xs.data() + i * pixels);
+      std::copy(stored_ys[best_row].begin(), stored_ys[best_row].end(),
+                out.ys.data() + i * label_w);
+      if (stats != nullptr) ++stats->reused;
+    } else {
+      fallback_rows.push_back(i);
+    }
+  }
+  if (!fallback_rows.empty()) {
+    Tensor pending({fallback_rows.size(), 1, s, s});
+    for (std::size_t j = 0; j < fallback_rows.size(); ++j) {
+      std::copy_n(xs.data() + fallback_rows[j] * pixels, pixels,
+                  pending.data() + j * pixels);
+    }
+    const Tensor computed = fallback_labeler(pending);
+    for (std::size_t j = 0; j < fallback_rows.size(); ++j) {
+      std::copy_n(computed.data() + j * label_w, label_w,
+                  out.ys.data() + fallback_rows[j] * label_w);
+    }
+    if (stats != nullptr) stats->computed += fallback_rows.size();
+  }
+  return out;
+}
+
 class RetrievalPathFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -102,7 +200,7 @@ TEST_F(RetrievalPathFixture, IndexMirrorsStoreAfterIngest) {
   EXPECT_EQ(from_clusters, 96u);
 }
 
-TEST_F(RetrievalPathFixture, ParityWithLegacyAcrossThresholds) {
+TEST_F(RetrievalPathFixture, ParityWithBruteForceAcrossThresholds) {
   const nn::Batchset query = regime_data(0.01, 32, 22);
   const auto labeler = [](const Tensor& xs) {
     return deterministic_labeler(xs, 2);
@@ -116,8 +214,9 @@ TEST_F(RetrievalPathFixture, ParityWithLegacyAcrossThresholds) {
     const auto got =
         snap->lookup_or_label(query.xs, threshold, labeler, &new_stats);
     fairds::ReuseStats old_stats;
-    const auto want = fairds::legacy_lookup_or_label(
-        *ds_, db_, query.xs, threshold, labeler, &old_stats);
+    const auto want = brute_force_lookup_or_label(
+        *snap, db_.collection(ds_->config().collection), query.xs, threshold,
+        labeler, &old_stats);
     const std::string context = "threshold=" + std::to_string(threshold);
     EXPECT_EQ(new_stats.reused, old_stats.reused) << context;
     EXPECT_EQ(new_stats.computed, old_stats.computed) << context;
@@ -128,7 +227,7 @@ TEST_F(RetrievalPathFixture, ParityWithLegacyAcrossThresholds) {
                             "threshold sweep";
 }
 
-TEST(RetrievalPath, ParityWithLegacyAfterRetrain) {
+TEST(RetrievalPath, ParityWithBruteForceAfterRetrain) {
   // Certainty is in [0, 1], so a threshold above 1 forces the retrain
   // unconditionally — this test is about the post-retrain index rebuild,
   // not the trigger condition (covered in test_fairds).
@@ -153,8 +252,9 @@ TEST(RetrievalPath, ParityWithLegacyAfterRetrain) {
     const auto got =
         snap->lookup_or_label(query.xs, threshold, labeler, &new_stats);
     fairds::ReuseStats old_stats;
-    const auto want = fairds::legacy_lookup_or_label(
-        ds, db, query.xs, threshold, labeler, &old_stats);
+    const auto want = brute_force_lookup_or_label(
+        *snap, db.collection(config.collection), query.xs, threshold, labeler,
+        &old_stats);
     EXPECT_EQ(new_stats.reused, old_stats.reused);
     EXPECT_EQ(new_stats.computed, old_stats.computed);
     expect_batchsets_identical(got, want,
@@ -222,9 +322,9 @@ TEST(RetrievalEdgeCases, SingleMemberAndEmptyClusters) {
   EXPECT_EQ(new_stats.reused + new_stats.computed, 24u);
 
   fairds::ReuseStats old_stats;
-  const auto want =
-      fairds::legacy_lookup_or_label(ds, db, query.xs, 1e9, labeler,
-                                     &old_stats);
+  const auto want = brute_force_lookup_or_label(
+      *snap, db.collection(ds.config().collection), query.xs, 1e9, labeler,
+      &old_stats);
   EXPECT_EQ(new_stats.reused, old_stats.reused);
   EXPECT_EQ(new_stats.computed, old_stats.computed);
   expect_batchsets_identical(got, want, "sparse-store");
@@ -252,60 +352,119 @@ TEST_F(RetrievalPathFixture, VanishedDocumentsFallBackInsteadOfAborting) {
   EXPECT_EQ(labeled.ys.shape(), (std::vector<std::size_t>{24, 2}));
 }
 
-TEST(RetrievalEdgeCasesDeathTest, CorruptStoredClusterFailsLoudly) {
-  // Stored fields are untrusted (snapshots, external writers): a negative
-  // cluster id must die with a diagnostic, not index out of bounds.
-  store::DocStore db;
-  auto config = small_config();
-  auto& col = db.collection(config.collection);
-  const store::RawCodec codec;
-  const std::vector<float> emb(config.embedding_dim, 0.5f);
-  Object doc;
-  doc["cluster"] = Value(std::int64_t{-1});
-  doc["embedding"] = Value(codec.encode(emb));
-  doc["x"] = Value(codec.encode(std::vector<float>(225, 0.0f)));
-  doc["y"] = Value(codec.encode(std::vector<float>(2, 0.0f)));
-  col.insert_one(Value(std::move(doc)));
-
-  fairds::FairDS ds(config, db);
-  const nn::Batchset history = regime_data(0.0, 48, 51);
-  EXPECT_DEATH(ds.train_system(history.xs), "corrupt cluster");
-}
-
-TEST(RetrievalEdgeCases, StaleClusterIdsBeyondKAreTolerated) {
-  // Cluster ids assigned under an earlier model can exceed the freshly
-  // trained k (e.g. elbow picked a smaller k on retrain-over-history).
-  // They are unreachable by queries — which probe clusters < k — but must
-  // not abort the rebuild.
+TEST(RetrievalEdgeCases, StoredClusterAndEmbeddingFieldsAreIgnored) {
+  // Rows written by an older record layout carry `cluster` and `embedding`
+  // fields: here a negative cluster id, one beyond k, and embeddings of the
+  // wrong width. The index derives both from the stored images, so
+  // train_system must not abort and each row is found again by a query of
+  // its own image.
   store::DocStore db;
   auto config = small_config(4);
   auto& col = db.collection(config.collection);
   const store::RawCodec codec;
-  Object doc;
-  doc["cluster"] = Value(std::int64_t{9});  // >= k = 4
-  doc["embedding"] =
-      Value(codec.encode(std::vector<float>(config.embedding_dim, 0.5f)));
-  doc["x"] = Value(codec.encode(std::vector<float>(225, 0.0f)));
-  doc["y"] = Value(codec.encode(std::vector<float>(2, 0.0f)));
-  col.insert_one(Value(std::move(doc)));
+  const nn::Batchset rows = regime_data(0.0, 2, 54);
+  const std::int64_t stale_cluster[] = {-1, 9};
+  for (std::size_t i = 0; i < 2; ++i) {
+    Object doc;
+    doc["cluster"] = Value(stale_cluster[i]);
+    doc["embedding"] = Value(
+        codec.encode(std::vector<float>(config.embedding_dim + 3, 0.5f)));
+    doc["x"] = Value(codec.encode(
+        std::span<const float>(rows.xs.data() + i * 225, 225)));
+    doc["y"] =
+        Value(codec.encode(std::span<const float>(rows.ys.data() + i * 2, 2)));
+    col.insert_one(Value(std::move(doc)));
+  }
 
   fairds::FairDS ds(config, db);
-  const nn::Batchset history = regime_data(0.0, 48, 52);
-  ds.train_system(history.xs);  // must not abort
+  ds.train_system(regime_data(0.0, 48, 52).xs);  // must not abort
   const auto snap = ds.snapshot();
-  EXPECT_EQ(snap->reuse_index().size(), 1u);
-  EXPECT_EQ(snap->reuse_index().cluster_size(9), 1u);
+  EXPECT_EQ(snap->indexed_count(), 2u);
+  EXPECT_EQ(snap->label_width(), 2u);
 
-  const nn::Batchset query = regime_data(0.0, 8, 53);
   fairds::ReuseStats stats;
   const auto labeled = snap->lookup_or_label(
-      query.xs, 1e9,
+      rows.xs, 1e-6,
       [](const Tensor& xs) { return deterministic_labeler(xs, 2); }, &stats);
-  // The lone stored sample lives in an unreachable cluster: every query
-  // falls back.
-  EXPECT_EQ(stats.computed, 8u);
-  EXPECT_EQ(stats.reused, 0u);
-  EXPECT_EQ(labeled.ys.dim(1), 2u);
+  EXPECT_EQ(stats.reused, 2u);
+  EXPECT_EQ(stats.computed, 0u);
+  expect_batchsets_identical(labeled, rows, "own-image queries");
+}
+
+// --- the stored sample record: x, y and dataset_id only --------------------
+
+/// A log-engine store root under the test temp directory, removed on exit.
+struct LogStoreDir {
+  explicit LogStoreDir(const std::string& tag)
+      : path(::testing::TempDir() + "fairdms_retrieval_" + tag + "_" +
+             std::to_string(::getpid())) {
+    std::filesystem::remove_all(path);
+  }
+  ~LogStoreDir() { std::filesystem::remove_all(path); }
+
+  [[nodiscard]] store::DocStoreConfig config() const {
+    store::DocStoreConfig db_config;
+    db_config.engine.kind = store::EngineKind::kLog;
+    db_config.engine.directory = path;
+    return db_config;
+  }
+  /// Bytes of every file under the store root.
+  [[nodiscard]] std::uintmax_t bytes() const {
+    std::uintmax_t total = 0;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(path)) {
+      if (entry.is_regular_file()) total += entry.file_size();
+    }
+    return total;
+  }
+
+  std::string path;
+};
+
+TEST(StoredSampleRecord, ForcedRetrainAppendsNothingToALogCollection) {
+  // A retrain rebuilds only the in-memory index: the log, which appends
+  // every rewritten document in full, must not grow by a byte.
+  LogStoreDir dir("retrain_bytes");
+  store::DocStore db(dir.config());
+  fairds::FairDS ds(small_config(), db);
+  const nn::Batchset history = regime_data(0.0, 1024, 61);
+  ds.train_system(head_rows(history.xs, 128));
+  ds.ingest(history.xs, history.ys, "history");
+  const std::uintmax_t before = dir.bytes();
+
+  const nn::Batchset probe = regime_data(1.8, 64, 62);
+  ASSERT_TRUE(ds.maybe_retrain(probe.xs, 1.01));
+  EXPECT_EQ(dir.bytes(), before);
+  EXPECT_EQ(ds.snapshot()->indexed_count(), 1024u);
+}
+
+TEST(StoredSampleRecord, ReopenedLogStoreReusesEveryStoredImage) {
+  // Retrain once, drop the store, reopen its directory and train a fresh
+  // plane: the index is rebuilt from the stored images under that plane,
+  // so querying each stored image finds it at distance zero.
+  LogStoreDir dir("restart");
+  const auto config = small_config();
+  const nn::Batchset history = regime_data(0.0, 256, 63);
+  {
+    store::DocStore db(dir.config());
+    fairds::FairDS ds(config, db);
+    ds.train_system(history.xs);
+    ds.ingest(history.xs, history.ys, "history");
+    ASSERT_TRUE(ds.maybe_retrain(regime_data(1.8, 64, 64).xs, 1.01));
+  }
+  store::DocStore db(dir.config());
+  fairds::FairDS ds(config, db);
+  ds.train_system(history.xs);
+  const auto snap = ds.snapshot();
+  ASSERT_EQ(snap->indexed_count(), 256u);
+  EXPECT_EQ(snap->label_width(), 2u);
+
+  fairds::ReuseStats stats;
+  const auto labeled = snap->lookup_or_label(
+      history.xs, 1e-6,
+      [](const Tensor& xs) { return deterministic_labeler(xs, 2); }, &stats);
+  EXPECT_EQ(stats.reused, 256u);
+  expect_batchsets_identical(labeled, history, "restart");
 }
 
 // --- batched reads ----------------------------------------------------------

@@ -1,10 +1,9 @@
 // Snapshot tests: lookup purity given a seed and a snapshot, snapshot
 // immutability across system-plane publishes (old versions keep answering
-// with old models), version monotonicity, label-width derivation over
-// pre-existing collections, and no snapshot before training. The
-// independent pre-rewrite reference for lookup_or_label lives in
-// test_retrieval_path, where legacy_lookup_or_label reimplements the reuse
-// path against the raw store.
+// with old models), version monotonicity, the label width of a snapshot
+// over a pre-existing collection, and no snapshot before training. The
+// independent reference for lookup_or_label lives in test_retrieval_path,
+// where a brute-force oracle re-embeds every stored image.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -141,10 +140,10 @@ TEST(SnapshotLifecycle, OldSnapshotServesOldModelAcrossRetrain) {
   EXPECT_GT(ds.snapshot()->version(), snap_v1->version());
 }
 
-TEST(SnapshotOverExistingCollection, DerivesLabelWidthLazily) {
+TEST(SnapshotOverExistingCollection, LabelWidthIsKnownAtPublish) {
   // Build a FairDS + history, then a second FairDS over the same collection
-  // that never ingests: its snapshot must derive the label width from the
-  // store on first lookup_or_label.
+  // that never ingests: its first snapshot already carries the label width
+  // of the stored samples, before any query.
   store::DocStore db;
   auto config = small_config();
   fairds::FairDS first(config, db);
@@ -156,6 +155,7 @@ TEST(SnapshotOverExistingCollection, DerivesLabelWidthLazily) {
   second.train_system(history.xs);
   const auto snap = second.snapshot();
   EXPECT_EQ(snap->indexed_count(), 64u);
+  EXPECT_EQ(snap->label_width(), 2u);
   const nn::Batchset query = regime_data(0.0, 8, 82);
   fairds::ReuseStats stats;
   const auto labeled = snap->lookup_or_label(
@@ -163,7 +163,6 @@ TEST(SnapshotOverExistingCollection, DerivesLabelWidthLazily) {
       [](const Tensor& xs) { return deterministic_labeler(xs, 2); }, &stats);
   EXPECT_EQ(stats.reused, 8u);
   EXPECT_EQ(labeled.ys.dim(1), 2u);
-  EXPECT_EQ(snap->label_width(), 2u);
 }
 
 TEST(SnapshotLifecycle, UntrainedFairDsHasNoSnapshot) {
